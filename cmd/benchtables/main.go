@@ -643,7 +643,7 @@ func forensicsScanEntry(seed int64) (benchEntry, error) {
 
 // sentinelIngestEntry benchmarks the live daemon path against the batch
 // analyzer over the same one-million-record capture: baseline is the
-// in-process streaming scan (forensics.AnalyzeStream), "optimized" is a
+// fastest in-process path (forensics.AnalyzeBytes), "optimized" is a
 // sentinel server fed through a real Unix socket with JSONL events
 // enabled — i.e. the full blapd data path including framing, per-record
 // metrics, and event emission. Identity is verified the way the daemon's
@@ -658,7 +658,7 @@ func sentinelIngestEntry(seed int64) (benchEntry, error) {
 	data := capture.Bytes()
 
 	t0 := time.Now()
-	batchRep, err := forensics.AnalyzeStream(bytes.NewReader(data))
+	batchRep, err := forensics.AnalyzeBytes(data)
 	if err != nil {
 		return benchEntry{}, fmt.Errorf("sentinel_ingest_1m baseline: %w", err)
 	}
@@ -776,7 +776,7 @@ func sentinelIngestEntry(seed int64) (benchEntry, error) {
 
 	e := benchEntry{
 		Name:       "sentinel_ingest_1m",
-		Baseline:   "forensics.AnalyzeStream (in-process batch)",
+		Baseline:   "forensics.AnalyzeBytes (in-process batch)",
 		Optimized:  "sentinel session-protocol ingest (zero-copy client writev) + JSONL events + tsdb persistence + detector checkpoints (live)",
 		BaselineNs: bns, OptimizedNs: ons,
 		Records: records, CaptureBytes: int64(len(data)),
@@ -818,7 +818,7 @@ func sentinelIngestMultiEntry(seed int64) (benchEntry, error) {
 		return benchEntry{}, fmt.Errorf("synthesizing capture: %w", err)
 	}
 	data := capture.Bytes()
-	batchRep, err := forensics.AnalyzeStream(bytes.NewReader(data))
+	batchRep, err := forensics.AnalyzeBytes(data)
 	if err != nil {
 		return benchEntry{}, fmt.Errorf("sentinel_ingest_multi batch reference: %w", err)
 	}
@@ -961,9 +961,9 @@ func sentinelIngestMultiEntry(seed int64) (benchEntry, error) {
 	}
 
 	e := benchEntry{
-		Name:      "sentinel_ingest_multi",
-		Baseline:  fmt.Sprintf("%d session streams sequential (single-stream funnel)", streams),
-		Optimized: fmt.Sprintf("%d session streams concurrent (sharded writers, shards=GOMAXPROCS)", streams),
+		Name:       "sentinel_ingest_multi",
+		Baseline:   fmt.Sprintf("%d session streams sequential (single-stream funnel)", streams),
+		Optimized:  fmt.Sprintf("%d session streams concurrent (sharded writers, shards=GOMAXPROCS)", streams),
 		BaselineNs: bns, OptimizedNs: ons,
 		Records: streams * records, Streams: streams,
 		CaptureBytes:     int64(len(data)) * int64(streams),

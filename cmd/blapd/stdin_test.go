@@ -25,7 +25,7 @@ func buildBinary(t *testing.T) string {
 // TestStdinContract pins the -stdin one-shot CLI on the batch pipeline:
 // exit 3 on findings with deterministic (byte-identical across runs)
 // finding lines, and exit 1 naming the death offset for a capture cut
-// mid-record — the same offset the incremental scanner computes.
+// mid-record — the same offset the in-memory scanner computes.
 func TestStdinContract(t *testing.T) {
 	bin := buildBinary(t)
 
@@ -86,8 +86,9 @@ func TestStdinContract(t *testing.T) {
 
 	// Truncated capture: exit 1, stderr names the death offset.
 	cut := len(data) - 9
-	sc := snoop.NewScanner(bytes.NewReader(data[:cut]))
-	for sc.Scan() {
+	sc := snoop.NewBatchScannerBytes(data[:cut])
+	var b snoop.RecordBatch
+	for sc.ScanBatch(&b) {
 	}
 	if sc.Err() == nil {
 		t.Fatal("reference scanner saw no truncation")

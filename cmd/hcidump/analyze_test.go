@@ -28,7 +28,7 @@ func buildBinary(t *testing.T) string {
 // TestAnalyzeExitCodeContract pins the -analyze CLI contract on the
 // batch pipeline: exit 3 when the capture has findings, exit 0 on a
 // clean capture, and exit 1 with the death offset on a truncated one —
-// the offset being the same one the incremental scanner reports.
+// the offset being the same one the in-memory scanner reports.
 func TestAnalyzeExitCodeContract(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
@@ -82,10 +82,11 @@ func TestAnalyzeExitCodeContract(t *testing.T) {
 	}
 
 	// Truncate mid-record: the reported offset must be the death byte
-	// the incremental scanner computes for the same cut.
+	// the in-memory scanner computes for the same cut.
 	cut := len(data) - 7
-	sc := snoop.NewScanner(bytes.NewReader(data[:cut]))
-	for sc.Scan() {
+	sc := snoop.NewBatchScannerBytes(data[:cut])
+	var b snoop.RecordBatch
+	for sc.ScanBatch(&b) {
 	}
 	if sc.Err() == nil {
 		t.Fatal("reference scanner saw no truncation")

@@ -89,15 +89,18 @@ func followFile(f io.Reader, idle, pollMax time.Duration, out io.Writer, st *sca
 	}
 	var b snoop.RecordBatch
 	for sc.ScanBatch(&b) {
-		for i := range b.Records {
-			st.record(b.Records[i])
-		}
-		det.PushBatch(b.Records)
-		for _, ev := range det.Drain() {
-			st.finding(ev)
-			fmt.Fprintf(out, "%s frame %-5d [%s] peer %s: %s\n",
-				ev.Time.Format("15:04:05.000000"), ev.Frame,
-				ev.Finding.Kind, ev.Finding.Peer, ev.Finding.Detail)
+		// Push every record, not PushKept: the detector's frame count is
+		// part of the checkpoint, and a resumed follow numbers its frames
+		// from it.
+		for _, rec := range b.Records {
+			st.record(rec)
+			det.Push(rec)
+			for _, ev := range det.Drain() {
+				st.finding(ev)
+				fmt.Fprintf(out, "%s frame %-5d [%s] peer %s: %s\n",
+					ev.Time.Format("15:04:05.000000"), ev.Frame,
+					ev.Finding.Kind, ev.Finding.Peer, ev.Finding.Detail)
+			}
 		}
 	}
 	var next *followCheckpoint

@@ -2,9 +2,9 @@
 // Android's snoop log, bluez-hcidump, or this project's simulator) and
 // renders them as a trace table. It can also scan a capture for plaintext
 // link keys — the paper's extraction step — and run the forensic analyzer
-// over it. Every btsnoop mode streams the capture in bounded memory;
-// -analyze runs the block-scanning batch pipeline (snoop.BatchScanner /
-// forensics.AnalyzeBatch), so multi-gigabyte dumps decode a few hundred
+// over it. Every btsnoop mode reads the capture through the block
+// scanner (snoop.BatchScanner) in bounded memory, and -analyze runs
+// forensics.AnalyzeBatch, so multi-gigabyte dumps decode a few hundred
 // KiB at a time.
 //
 //	hcidump capture.btsnoop
@@ -137,18 +137,18 @@ func main() {
 		if st != nil {
 			// The stats collector needs to see every record and every
 			// finding as it completes, so drive the batch scanner and
-			// detector directly; the report is bit-identical to
-			// AnalyzeBatch (and so to Analyze).
+			// detector directly, one Push per record; the report is
+			// bit-identical to AnalyzeBatch (and so to Analyze).
 			sc := snoop.NewBatchScannerSize(in, 256<<10)
 			det := forensics.NewDetector()
 			var b snoop.RecordBatch
 			for sc.ScanBatch(&b) {
-				for i := range b.Records {
-					st.record(b.Records[i])
-				}
-				det.PushBatch(b.Records)
-				for _, ev := range det.Drain() {
-					st.finding(ev)
+				for _, rec := range b.Records {
+					st.record(rec)
+					det.Push(rec)
+					for _, ev := range det.Drain() {
+						st.finding(ev)
+					}
 				}
 			}
 			if err := sc.Err(); err != nil {
@@ -188,11 +188,14 @@ func main() {
 	out := bufio.NewWriterSize(os.Stdout, 1<<16)
 	fmt.Fprint(out, snoop.TableHeader())
 	if st != nil {
-		sc := snoop.NewScanner(in)
-		for sc.Scan() {
-			st.record(sc.Record())
-			if row, ok := snoop.SummarizeRecord(sc.Frame(), sc.Record()); ok {
-				fmt.Fprint(out, snoop.FormatRow(row))
+		sc := snoop.NewBatchScanner(in)
+		var b snoop.RecordBatch
+		for sc.ScanBatch(&b) {
+			for i, rec := range b.Records {
+				st.record(rec)
+				if row, ok := snoop.SummarizeRecord(b.First+i, rec); ok {
+					fmt.Fprint(out, snoop.FormatRow(row))
+				}
 			}
 		}
 		err = sc.Err()
@@ -212,16 +215,20 @@ func main() {
 			out.Flush()
 			fail(err)
 		}
-		sc := snoop.NewScanner(f)
-		var hexbuf []byte
-		for sc.Scan() {
-			rec := sc.Record()
-			dir := "TX"
-			if rec.Received() {
-				dir = "RX"
+		sc := snoop.NewBatchScanner(f)
+		var (
+			b      snoop.RecordBatch
+			hexbuf []byte
+		)
+		for sc.ScanBatch(&b) {
+			for i, rec := range b.Records {
+				dir := "TX"
+				if rec.Received() {
+					dir = "RX"
+				}
+				hexbuf = usbsniff.AppendHex(hexbuf[:0], rec.Data)
+				fmt.Fprintf(out, "%-5d %s %s  %s\n", b.First+i, rec.Timestamp.Format("15:04:05.000000"), dir, hexbuf)
 			}
-			hexbuf = usbsniff.AppendHex(hexbuf[:0], rec.Data)
-			fmt.Fprintf(out, "%-5d %s %s  %s\n", sc.Frame(), rec.Timestamp.Format("15:04:05.000000"), dir, hexbuf)
 		}
 		if err := sc.Err(); err != nil {
 			out.Flush()

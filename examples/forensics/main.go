@@ -57,7 +57,7 @@ func triage(data []byte, err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := forensics.AnalyzeFile(data)
+	report, err := forensics.AnalyzeBytes(data)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/forensics"
-	"repro/internal/snoop"
 )
 
 // The cross-attack evaluation matrix: every scenario in the
@@ -214,23 +212,13 @@ func RunAttackMatrixWorkers(seed int64, trials, workers int) ([]AttackRow, error
 					if err != nil {
 						return attackSample{}, err
 					}
-					det := forensics.NewDetector()
-					sc := snoop.NewScanner(bytes.NewReader(data))
-					first := 0
-					for sc.Scan() {
-						det.Push(sc.Record())
-						for _, ev := range det.Drain() {
-							if ev.Finding.Kind == spec.detectorKind && first == 0 {
-								first = ev.Frame
-							}
-						}
-					}
-					if err := sc.Err(); err != nil {
+					first, frames, err := firstFinding(data, spec.detectorKind)
+					if err != nil {
 						return attackSample{}, err
 					}
-					if first > 0 && det.Frames() > 0 {
+					if first > 0 {
 						sample.Detected = true
-						sample.Fraction = float64(first) / float64(det.Frames())
+						sample.Fraction = float64(first) / float64(frames)
 					}
 					return sample, nil
 				})

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/forensics"
-	"repro/internal/snoop"
 )
 
 // The degraded-channel sweep: how do the BLAP attacks — and blapd's
@@ -160,23 +158,13 @@ func RunDegradedSweepWorkers(seed int64, trials, workers int) ([]DegradedRow, er
 				if err != nil {
 					return degradedPB{}, err
 				}
-				det := forensics.NewDetector()
-				sc := snoop.NewScanner(bytes.NewReader(data))
-				first := 0
-				for sc.Scan() {
-					det.Push(sc.Record())
-					for _, ev := range det.Drain() {
-						if ev.Finding.Kind == forensics.FindingPageBlocking && first == 0 {
-							first = ev.Frame
-						}
-					}
-				}
-				if err := sc.Err(); err != nil {
+				first, frames, err := firstFinding(data, forensics.FindingPageBlocking)
+				if err != nil {
 					return degradedPB{}, err
 				}
-				if first > 0 && det.Frames() > 0 {
+				if first > 0 {
 					sample.Detected = true
-					sample.Fraction = float64(first) / float64(det.Frames())
+					sample.Fraction = float64(first) / float64(frames)
 				}
 				return sample, nil
 			})

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/forensics"
-	"repro/internal/snoop"
 )
 
 // DetectionLatencyResult measures how early in a victim's capture the
@@ -66,23 +64,11 @@ func RunDetectionLatencyWorkers(seed int64, trials, workers int) (DetectionLaten
 			if err != nil {
 				return latencySample{}, err
 			}
-			det := forensics.NewDetector()
-			sc := snoop.NewScanner(bytes.NewReader(data))
-			sample := latencySample{}
-			for sc.Scan() {
-				det.Push(sc.Record())
-				for _, ev := range det.Drain() {
-					if ev.Finding.Kind == forensics.FindingPageBlocking && !sample.detected {
-						sample.detected = true
-						sample.firstFrame = ev.Frame
-					}
-				}
-			}
-			if err := sc.Err(); err != nil {
+			first, frames, err := firstFinding(data, forensics.FindingPageBlocking)
+			if err != nil {
 				return latencySample{}, err
 			}
-			sample.frames = det.Frames()
-			return sample, nil
+			return latencySample{detected: first > 0, firstFrame: first, frames: frames}, nil
 		})
 	if err != nil {
 		return res, err

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -17,15 +16,33 @@ import (
 // analyzeDump runs the forensic analyzer over the serialized btsnoop
 // artifact, the same bytes an investigator would pull off the device —
 // exercising the real capture-file path rather than the in-memory record
-// shortcut. Streaming workers are pinned to 1 because each call already
-// runs inside a campaign trial; nesting decode pools inside the campaign
-// pool would oversubscribe the host for no gain.
+// shortcut.
 func analyzeDump(d *snoop.HCIDump) (*forensics.Report, error) {
 	data, err := d.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	return forensics.AnalyzeStreamWorkers(bytes.NewReader(data), 1)
+	return forensics.AnalyzeBytes(data)
+}
+
+// firstFinding runs the live detector over a serialized capture through
+// the prefiltered batch feed and returns the frame of the first finding
+// of the given kind (0 when none fires) and the capture's total frame
+// count. The total comes from the scanner: after PushKept the
+// detector's own Frames stops at the last relevant record.
+func firstFinding(data []byte, kind string) (first, frames int, err error) {
+	sc := snoop.NewBatchScannerBytes(data)
+	det := forensics.NewDetector()
+	var b snoop.RecordBatch
+	for sc.ScanBatchKeep(&b, forensics.RelevantRecord) {
+		det.PushKept(b.Frames, b.Records)
+		for _, ev := range det.Drain() {
+			if first == 0 && ev.Finding.Kind == kind {
+				first = ev.Frame
+			}
+		}
+	}
+	return first, sc.Frame(), sc.Err()
 }
 
 // ForensicsSweepResult summarizes detector quality over many worlds.

@@ -3,7 +3,6 @@ package forensics
 import (
 	"time"
 
-	"repro/internal/hci"
 	"repro/internal/snoop"
 )
 
@@ -19,11 +18,11 @@ type Event struct {
 
 // Detector is the incremental form of the analyzer: push snoop.Records
 // as they arrive (from a socket, a growing file, or a slice) and drain
-// findings the moment the session reducer produces them. Analyze and
-// AnalyzeStream are thin wrappers over a Detector, so a live path that
-// pushes the same records in the same order emits byte-identical
-// findings to a batch run — detection parity is structural, not tested
-// into existence.
+// findings the moment the session reducer produces them. Analyze,
+// AnalyzeBatch and AnalyzeBytes are thin wrappers over a Detector, so a
+// live path that pushes the same records in the same order emits
+// byte-identical findings to a batch run — detection parity is
+// structural, not tested into existence.
 //
 // A Detector is not safe for concurrent use; the daemon runs one per
 // connection.
@@ -70,77 +69,27 @@ func (d *Detector) Push(rec snoop.Record) {
 	}
 }
 
-// PushBatch folds a batch of capture records into the detector,
-// equivalent to calling Push on each in order but with the prefilter
-// hoisted into the loop: irrelevant records (the overwhelming bulk) cost
-// one classification branch each, and only records the reducer consumes
-// reach the typed parse. Frame numbering and emitted findings are
-// bit-identical to the record-at-a-time path.
-func (d *Detector) PushBatch(recs []snoop.Record) {
-	base := d.frames
-	for i := range recs {
-		raw := recs[i].Data
-		// Hand-inlined RelevantRecord (the call is beyond the inliner's
-		// budget and this loop is the hottest in the repo): dismiss on
-		// the indicator octet plus one event-table load or opcode
-		// compare. TestPushBatchMatchesPush pins the two paths together.
-		if len(raw) < 2 {
-			continue
-		}
-		switch raw[0] {
-		case byte(hci.PTEvent):
-			if !wantEvents[raw[1]] {
-				continue
-			}
-		case byte(hci.PTCommand):
-			if len(raw) < 3 {
-				continue
-			}
-			op := hci.Opcode(uint16(raw[1]) | uint16(raw[2])<<8)
-			if op != hci.OpAcceptConnectionRequest &&
-				op != hci.OpAuthenticationRequested &&
-				op != hci.OpLinkKeyRequestReply {
-				continue
-			}
-		default:
-			continue
-		}
-		d.frames = base + i + 1
-		if msg := decodeRelevant(recordDir(recs[i]), raw); msg != nil {
-			d.st.apply(d.frames, recs[i].Timestamp, msg)
-		}
-	}
-	d.frames = base + len(recs)
-}
-
 // PushKept folds a batch of records that already passed the
 // RelevantRecord prefilter — the output of snoop.ScanBatchKeep, where
 // frames[i] is the absolute 1-based capture frame of recs[i]. Findings
-// are bit-identical to PushBatch over the full stream, because on
-// either path only relevant records ever reach the reducer and they
-// arrive with the same frame numbers; the difference is that rejected
-// records were never materialized at all. Note Frames then reports the
-// last relevant frame, not the capture total — callers that account
-// for every record (the sentinel pipeline) track the scanner's frame
-// counter instead.
+// are bit-identical to Push over the full stream, because on either
+// path only relevant records ever reach the reducer and they arrive
+// with the same frame numbers; the difference is that rejected records
+// were never materialized at all. Note Frames then reports the last
+// relevant frame, not the capture total — callers that account for
+// every record (the sentinel pipeline, the eval scans) read the
+// scanner's Frame instead.
 func (d *Detector) PushKept(frames []int, recs []snoop.Record) {
 	for i := range recs {
 		rec := &recs[i]
-		if msg := decodeRelevant(recordDir(*rec), rec.Data); msg != nil {
-			d.pushDecoded(frames[i], rec.Timestamp, msg)
+		msg := decodeRelevant(recordDir(*rec), rec.Data)
+		if msg == nil {
+			continue
 		}
-	}
-}
-
-// pushDecoded feeds an already-decoded message at an explicit frame
-// position — the parallel stream pipeline's entry, whose workers decode
-// out of band and reduce in submission order.
-func (d *Detector) pushDecoded(frame int, ts time.Time, msg any) {
-	if frame > d.frames {
-		d.frames = frame
-	}
-	if msg != nil {
-		d.st.apply(frame, ts, msg)
+		if frames[i] > d.frames {
+			d.frames = frames[i]
+		}
+		d.st.apply(frames[i], rec.Timestamp, msg)
 	}
 }
 
@@ -156,7 +105,9 @@ func (d *Detector) Drain() []Event {
 	return ev
 }
 
-// Frames returns how many records have been pushed so far.
+// Frames returns the frame number of the last record pushed: after Push,
+// how many records have been pushed; after PushKept, the last relevant
+// frame.
 func (d *Detector) Frames() int { return d.frames }
 
 // Findings returns how many findings have been emitted so far (drained

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/snoop"
 )
@@ -64,12 +65,15 @@ func TestDetectorEventsMatchBatchFindings(t *testing.T) {
 	}
 }
 
-// TestPushBatchMatchesPush pins the prefiltered batch entry to the
-// record-at-a-time path: for every capture and for awkward batch splits
-// (including empty and single-record batches), PushBatch must yield the
-// same frame count, the same drained events, and a deeply identical
-// report.
-func TestPushBatchMatchesPush(t *testing.T) {
+// TestPushKeptMatchesPush pins the prefiltered batch feed to the
+// record-at-a-time path: for every capture and every batch shape (one
+// record per batch off a trickling reader, small blocks, whole-slice
+// batches, and batches the prefilter empties),
+// ScanBatchKeep + PushKept must yield the same drained events and a
+// deeply identical report as Push over every record, and the scanner
+// must count every frame even though Frames stops at the last relevant
+// one.
+func TestPushKeptMatchesPush(t *testing.T) {
 	for name, data := range streamTestCaptures(t) {
 		recs, err := snoop.ReadAll(data)
 		if err != nil {
@@ -77,33 +81,44 @@ func TestPushBatchMatchesPush(t *testing.T) {
 		}
 		ref := NewDetector()
 		var wantEvents []Event
-		for _, rec := range recs {
+		lastRelevant := 0
+		for i, rec := range recs {
 			ref.Push(rec)
 			wantEvents = append(wantEvents, ref.Drain()...)
+			if decodeRecord(recordDir(rec), rec.Data) != nil {
+				lastRelevant = i + 1
+			}
 		}
 		want := ref.Finish()
 
-		for _, chunk := range []int{1, 3, 7, 64, 4096, len(recs) + 1} {
+		for mode, sc := range map[string]*snoop.BatchScanner{
+			"trickle": snoop.NewBatchScanner(iotest.OneByteReader(bytes.NewReader(data))),
+			"block":   snoop.NewBatchScannerSize(bytes.NewReader(data), 4<<10),
+			"bytes":   snoop.NewBatchScannerBytes(data),
+		} {
 			d := NewDetector()
 			var events []Event
-			for i := 0; i < len(recs); i += chunk {
-				end := i + chunk
-				if end > len(recs) {
-					end = len(recs)
-				}
-				d.PushBatch(recs[i:end])
+			var b snoop.RecordBatch
+			for sc.ScanBatchKeep(&b, RelevantRecord) {
+				d.PushKept(b.Frames, b.Records)
 				events = append(events, d.Drain()...)
 			}
-			d.PushBatch(nil) // empty batches are no-ops
-			if d.Frames() != len(recs) {
-				t.Fatalf("%s chunk=%d: Frames()=%d, want %d", name, chunk, d.Frames(), len(recs))
+			d.PushKept(nil, nil) // empty batches are no-ops
+			if err := sc.Err(); err != nil {
+				t.Fatalf("%s %s: %v", name, mode, err)
+			}
+			if sc.Frame() != len(recs) {
+				t.Fatalf("%s %s: scanner Frame()=%d, want %d", name, mode, sc.Frame(), len(recs))
+			}
+			if d.Frames() != lastRelevant {
+				t.Fatalf("%s %s: Frames()=%d, want last relevant frame %d", name, mode, d.Frames(), lastRelevant)
 			}
 			if !reflect.DeepEqual(d.Finish(), want) {
-				t.Fatalf("%s chunk=%d: batch report differs from Push", name, chunk)
+				t.Fatalf("%s %s: batch report differs from Push", name, mode)
 			}
 			if !reflect.DeepEqual(events, wantEvents) {
-				t.Fatalf("%s chunk=%d: %d batch events, %d push events (or contents differ)",
-					name, chunk, len(events), len(wantEvents))
+				t.Fatalf("%s %s: %d batch events, %d push events (or contents differ)",
+					name, mode, len(events), len(wantEvents))
 			}
 		}
 	}

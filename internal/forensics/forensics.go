@@ -11,17 +11,19 @@
 //   - suspicious timeout disconnects during authentication (the trace a
 //     link key extraction attack leaves on the *accessory*).
 //
-// Three entry points share one single-pass session reducer: Analyze
-// walks records already in memory; AnalyzeStream (stream.go) digests a
-// btsnoop stream of any size in bounded memory with parallel decode
-// workers; Detector (detector.go) is the incremental core both wrap —
-// push records as they arrive, drain findings as soon as the reducer
+// Every entry point shares one single-pass session reducer. Analyze
+// walks records already in memory, one Push at a time — the reference.
+// AnalyzeBatch and AnalyzeBytes digest a btsnoop stream or byte slice of
+// any size through the block scanner and its in-sweep prefilter.
+// Detector (detector.go) is the incremental core they all wrap — push
+// records as they arrive, drain findings as soon as the reducer
 // produces them — and is what the blapd live-ingestion daemon and
 // hcidump's tail mode run against a capture that is still growing.
 package forensics
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -64,7 +66,7 @@ type Session struct {
 	// for this session's peer with a stored key — the precondition of the
 	// silent re-pairing signature. flaggedSilentRepair keeps that finding
 	// one-shot per session.
-	suppliedStoredKey  bool
+	suppliedStoredKey   bool
 	flaggedSilentRepair bool
 }
 
@@ -116,13 +118,13 @@ type Report struct {
 }
 
 // sessionState is the single-pass session reducer at the core of every
-// entry point (Analyze, AnalyzeStream, the live Detector). It consumes
+// entry point (Analyze, AnalyzeBatch, the live Detector). It consumes
 // typed HCI messages in capture order; because its input is a pure
-// function of each record, feeding it from a serial loop, an ordered
-// parallel decode pipeline, or a live socket yields bit-identical
-// reports. Findings are emitted the moment the last record completing
-// them is applied — never deferred to end-of-capture — which is what
-// lets the Detector surface them while a capture is still being written.
+// function of each record, feeding it from a record loop, a prefiltered
+// batch scan, or a live socket yields bit-identical reports. Findings
+// are emitted the moment the last record completing them is applied —
+// never deferred to end-of-capture — which is what lets the Detector
+// surface them while a capture is still being written.
 type sessionState struct {
 	rep      *Report
 	byHandle map[bt.ConnHandle]*Session
@@ -404,13 +406,45 @@ func recordDir(rec snoop.Record) hci.Direction {
 
 // Analyze reconstructs sessions and findings from capture records. It is
 // a thin wrapper over the incremental Detector, so batch analysis and
-// live detection are bit-identical by construction.
+// live detection are bit-identical by construction. It is the
+// record-at-a-time reference the batch entries are tested against.
 func Analyze(records []snoop.Record) *Report {
 	d := NewDetector()
 	for _, rec := range records {
 		d.Push(rec)
 	}
 	return d.Finish()
+}
+
+// AnalyzeBatch reconstructs sessions and findings from a btsnoop stream
+// in bounded memory: block scanning (snoop.BatchScanner) with the
+// RelevantRecord prefilter inside the sweep, feeding PushKept. The
+// report is bit-identical to Analyze over the same records. This is the
+// path hcidump -analyze runs.
+func AnalyzeBatch(r io.Reader) (*Report, error) {
+	return analyzeBatches(snoop.NewBatchScannerSize(r, 256<<10))
+}
+
+// AnalyzeBytes is AnalyzeBatch for a capture already in memory: records
+// are decoded aliasing data directly, with no copies at all.
+func AnalyzeBytes(data []byte) (*Report, error) {
+	return analyzeBatches(snoop.NewBatchScannerBytes(data))
+}
+
+func analyzeBatches(sc *snoop.BatchScanner) (*Report, error) {
+	// No live-event hook: batch analysis reads findings from the report,
+	// so buffering Events nobody drains would only add churn. The ~97% of
+	// records the reducer ignores are never even materialized; the few
+	// that survive carry their absolute frame numbers in b.Frames.
+	d := &Detector{st: newSessionState()}
+	var b snoop.RecordBatch
+	for sc.ScanBatchKeep(&b, RelevantRecord) {
+		d.PushKept(b.Frames, b.Records)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("forensics: parsing capture: %w", err)
+	}
+	return d.Finish(), nil
 }
 
 func isTimeout(s hci.Status) bool {

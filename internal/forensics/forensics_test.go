@@ -85,7 +85,7 @@ func TestDetectsExtractionStallOnAccessoryDump(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFileRoundTrip(t *testing.T) {
+func TestAnalyzeBytesRoundTrip(t *testing.T) {
 	tb := mustTestbed(t, 4, core.TestbedOptions{Bond: true})
 	tb.M.Host.Pair(tb.C.Addr(), func(error) {})
 	tb.Sched.RunFor(30 * time.Second)
@@ -93,7 +93,7 @@ func TestAnalyzeFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := AnalyzeFile(data)
+	report, err := AnalyzeBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAnalyzeFileRoundTrip(t *testing.T) {
 	if !strings.Contains(report.Render(), "session") {
 		t.Fatal("render")
 	}
-	if _, err := AnalyzeFile([]byte("garbage")); err == nil {
+	if _, err := AnalyzeBytes([]byte("garbage")); err == nil {
 		t.Fatal("garbage file accepted")
 	}
 }

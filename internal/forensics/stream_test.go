@@ -59,9 +59,10 @@ func streamTestCaptures(t *testing.T) map[string][]byte {
 	return out
 }
 
-// TestAnalyzeStreamMatchesAnalyze pins the streaming pipeline to the
-// in-memory analyzer: for every capture and every worker count the
-// reports must be deeply identical, findings order included.
+// TestAnalyzeStreamMatchesAnalyze pins the batch entries — AnalyzeBatch
+// over a stream and AnalyzeBytes over a slice — to the record-at-a-time
+// Analyze: for every capture the reports must be deeply identical,
+// findings order included.
 func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	for name, data := range streamTestCaptures(t) {
 		recs, err := snoop.ReadAll(data)
@@ -72,20 +73,9 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 		if name != "normal-pairing" && len(want.Findings) == 0 {
 			t.Fatalf("%s: scenario lost its findings", name)
 		}
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			got, err := AnalyzeStreamWorkers(bytes.NewReader(data), workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s workers=%d: streaming report differs from Analyze\nstream: %s\nmemory: %s",
-					name, workers, got.Render(), want.Render())
-			}
-		}
 		for mode, run := range map[string]func() (*Report, error){
 			"batch": func() (*Report, error) { return AnalyzeBatch(bytes.NewReader(data)) },
 			"bytes": func() (*Report, error) { return AnalyzeBytes(data) },
-			"file":  func() (*Report, error) { return AnalyzeFile(data) },
 		} {
 			got, err := run()
 			if err != nil {
@@ -141,9 +131,9 @@ func TestFailedConnectionCompleteDoesNotLeakIncoming(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamBoundedMemory checks the pipeline never buffers the
-// whole capture: total allocation during a streaming pass over a large
-// capture must stay well below the capture size.
+// TestAnalyzeStreamBoundedMemory checks AnalyzeBatch never buffers the
+// whole stream: total allocation during a pass over a large capture
+// must stay well below the capture size.
 func TestAnalyzeStreamBoundedMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is distorted by the race detector")
@@ -157,7 +147,7 @@ func TestAnalyzeStreamBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rep, err := AnalyzeStreamWorkers(bytes.NewReader(data), 2)
+	rep, err := AnalyzeBatch(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

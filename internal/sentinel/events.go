@@ -114,7 +114,7 @@ const (
 // anything the transport or the capture did.
 var ErrAborted = errors.New("sentinel: stream aborted by shutdown")
 
-// ClassifyStreamError maps a snoop.Scanner error to a stream-end status.
+// ClassifyStreamError maps a snoop.BatchScanner error to a stream-end status.
 func ClassifyStreamError(err error) string {
 	switch {
 	case err == nil:

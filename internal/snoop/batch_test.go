@@ -11,7 +11,8 @@ import (
 )
 
 // errClass buckets a scanner-terminal error the way callers triage them;
-// the batch and incremental scanners must always land in the same bucket.
+// the BatchScanner and the reference decoder must always land in the
+// same bucket.
 func errClass(err error) string {
 	switch {
 	case err == nil:
@@ -74,6 +75,9 @@ func recordsEqual(t testing.TB, name string, got, want []Record) {
 	}
 }
 
+// TestBatchScannerMatchesScanner pins both scanner modes to the
+// record-at-a-time reference decoder on clean captures: records, frame
+// numbering, final offset and datalink.
 func TestBatchScannerMatchesScanner(t *testing.T) {
 	captures := map[string][]byte{
 		"sample": serializeRecords(t, fixLengths(sampleRecords())),
@@ -81,13 +85,9 @@ func TestBatchScannerMatchesScanner(t *testing.T) {
 	captures["synthetic"], _ = synthCapture(t, 5000, 7)
 
 	for name, data := range captures {
-		sc := NewScanner(bytes.NewReader(data))
-		var want []Record
-		for sc.Scan() {
-			want = append(want, sc.Record().Clone())
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatalf("%s: scanner: %v", name, err)
+		want, wantOff, class := refScanner(data)
+		if class != "clean" {
+			t.Fatalf("%s: reference scanner: %s", name, class)
 		}
 
 		for mode, bs := range map[string]*BatchScanner{
@@ -99,11 +99,11 @@ func TestBatchScannerMatchesScanner(t *testing.T) {
 				t.Fatalf("%s/%s: batch scanner: %v", name, mode, err)
 			}
 			recordsEqual(t, name+"/"+mode, got, want)
-			if bs.Offset() != sc.Offset() {
-				t.Fatalf("%s/%s: offset %d, scanner %d", name, mode, bs.Offset(), sc.Offset())
+			if bs.Offset() != wantOff {
+				t.Fatalf("%s/%s: offset %d, reference %d", name, mode, bs.Offset(), wantOff)
 			}
-			if bs.Datalink() != sc.Datalink() {
-				t.Fatalf("%s/%s: datalink %d, scanner %d", name, mode, bs.Datalink(), sc.Datalink())
+			if bs.Datalink() != DatalinkH4 {
+				t.Fatalf("%s/%s: datalink %d, want %d", name, mode, bs.Datalink(), DatalinkH4)
 			}
 		}
 	}
@@ -130,19 +130,14 @@ func TestBatchScannerTrickleLiveness(t *testing.T) {
 }
 
 // TestBatchScannerTruncationBoundaries cuts a capture at every byte
-// offset: the batch scanner must agree with the incremental Scanner on
+// offset: the batch scanner must agree with the reference decoder on
 // record count, final Offset, and error class at every cut — the
 // death-offset contract blapd's stream-end events rely on.
 func TestBatchScannerTruncationBoundaries(t *testing.T) {
 	data, _ := synthCapture(t, 40, 21)
 	for cut := 0; cut <= len(data); cut++ {
 		prefix := data[:cut]
-
-		sc := NewScanner(bytes.NewReader(prefix))
-		wantN := 0
-		for sc.Scan() {
-			wantN++
-		}
+		want, wantOff, wantClass := refScanner(prefix)
 
 		for mode, bs := range map[string]*BatchScanner{
 			"stream": NewBatchScanner(bytes.NewReader(prefix)),
@@ -153,15 +148,15 @@ func TestBatchScannerTruncationBoundaries(t *testing.T) {
 			for bs.ScanBatch(&b) {
 				gotN += len(b.Records)
 			}
-			if gotN != wantN {
-				t.Fatalf("cut %d/%s: batch %d records, scanner %d", cut, mode, gotN, wantN)
+			if gotN != len(want) {
+				t.Fatalf("cut %d/%s: batch %d records, reference %d", cut, mode, gotN, len(want))
 			}
-			if got, want := errClass(bs.Err()), errClass(sc.Err()); got != want {
-				t.Fatalf("cut %d/%s: batch error %q (%v), scanner %q (%v)",
-					cut, mode, got, bs.Err(), want, sc.Err())
+			if got := errClass(bs.Err()); got != wantClass {
+				t.Fatalf("cut %d/%s: batch error %q (%v), reference %q",
+					cut, mode, got, bs.Err(), wantClass)
 			}
-			if bs.Offset() != sc.Offset() {
-				t.Fatalf("cut %d/%s: batch offset %d, scanner %d", cut, mode, bs.Offset(), sc.Offset())
+			if bs.Offset() != wantOff {
+				t.Fatalf("cut %d/%s: batch offset %d, reference %d", cut, mode, bs.Offset(), wantOff)
 			}
 			// Scanning past the failure must stay stopped.
 			if bs.ScanBatch(&b) {
@@ -319,9 +314,9 @@ func TestRewritePreservesDatalink(t *testing.T) {
 		if !bytes.Equal(out.Bytes(), src.Bytes()) {
 			t.Fatalf("datalink %d: rewrite is not a byte-identical round-trip", dl)
 		}
-		r := NewReader(bytes.NewReader(out.Bytes()))
-		if _, err := r.ReadRecord(); err != nil {
-			t.Fatalf("datalink %d: read back: %v", dl, err)
+		r := NewBatchScannerBytes(out.Bytes())
+		if got := collectBatches(t, r); len(got) != 1 || r.Err() != nil {
+			t.Fatalf("datalink %d: read back %d records: %v", dl, len(got), r.Err())
 		}
 		if r.Datalink() != dl {
 			t.Fatalf("rewrite stamped datalink %d, want %d", r.Datalink(), dl)
@@ -352,9 +347,9 @@ func TestSetDatalinkLatchedAfterHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetDatalink(DatalinkH1)
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if _, err := r.ReadRecord(); err != nil {
-		t.Fatal(err)
+	r := NewBatchScannerBytes(buf.Bytes())
+	if got := collectBatches(t, r); len(got) != 1 || r.Err() != nil {
+		t.Fatalf("read back %d records: %v", len(got), r.Err())
 	}
 	if r.Datalink() != DatalinkH4 {
 		t.Fatalf("late SetDatalink rewrote the header: %d", r.Datalink())

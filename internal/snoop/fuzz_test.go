@@ -30,14 +30,14 @@ func FuzzReadAll(f *testing.F) {
 	})
 }
 
-// FuzzScanner is the three-way differential: ReadAll, the incremental
-// Scanner, and the BatchScanner must yield identical record sequences,
-// frame numbers, final Offset, and error classification (clean EOF /
-// ErrTruncated / ErrBadFraming / bad header) on arbitrary bytes, with no
-// panics. Seeds cover truncation at the file header, record header, and
-// payload boundaries, plus bad framing. The batch path additionally runs
-// over a one-byte-per-Read stream to exercise every partial-buffer
-// carry path.
+// FuzzScanner is the three-way differential: ReadAll, the reference
+// decoder (refScanner), and the BatchScanner must yield identical record
+// sequences, frame numbers, final Offset, and error classification
+// (clean EOF / ErrTruncated / ErrBadFraming / bad header) on arbitrary
+// bytes, with no panics. Seeds cover truncation at the file header,
+// record header, and payload boundaries, plus bad framing. The batch
+// path additionally runs over a one-byte-per-Read stream to exercise
+// every partial-buffer carry path.
 func FuzzScanner(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWriter(&seed)
@@ -56,20 +56,12 @@ func FuzzScanner(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		recs, readErr := ReadAll(raw)
 
-		sc := NewScanner(bytes.NewReader(raw))
-		var scanned []Record
-		for sc.Scan() {
-			if sc.Frame() != len(scanned)+1 {
-				t.Fatalf("Scanner frame %d at position %d", sc.Frame(), len(scanned)+1)
-			}
-			scanned = append(scanned, sc.Record().Clone())
-		}
-		scanErr := sc.Err()
-		if (readErr == nil) != (scanErr == nil) {
-			t.Fatalf("ReadAll err=%v, Scanner err=%v", readErr, scanErr)
+		scanned, refOff, refClass := refScanner(raw)
+		if (readErr == nil) != (refClass == "clean") {
+			t.Fatalf("ReadAll err=%v, reference %q", readErr, refClass)
 		}
 		if len(scanned) != len(recs) {
-			t.Fatalf("ReadAll %d records, Scanner %d", len(recs), len(scanned))
+			t.Fatalf("ReadAll %d records, reference %d", len(recs), len(scanned))
 		}
 
 		for name, bs := range map[string]*BatchScanner{
@@ -90,24 +82,16 @@ func FuzzScanner(f *testing.F) {
 					got = append(got, rec.CloneInto(&slab))
 				}
 			}
-			if gc, wc := errClass(bs.Err()), errClass(scanErr); gc != wc {
-				t.Fatalf("%s: batch error %q (%v), scanner %q (%v)", name, gc, bs.Err(), wc, scanErr)
+			if gc := errClass(bs.Err()); gc != refClass {
+				t.Fatalf("%s: batch error %q (%v), reference %q", name, gc, bs.Err(), refClass)
 			}
-			if bs.Offset() != sc.Offset() {
-				t.Fatalf("%s: batch offset %d, scanner %d", name, bs.Offset(), sc.Offset())
+			if bs.Offset() != refOff {
+				t.Fatalf("%s: batch offset %d, reference %d", name, bs.Offset(), refOff)
 			}
-			if len(got) != len(scanned) {
-				t.Fatalf("%s: batch %d records, scanner %d", name, len(got), len(scanned))
+			if bs.Frame() != len(scanned) {
+				t.Fatalf("%s: batch frame %d, reference %d records", name, bs.Frame(), len(scanned))
 			}
-			for i := range scanned {
-				if !bytes.Equal(got[i].Data, scanned[i].Data) ||
-					got[i].Flags != scanned[i].Flags ||
-					got[i].OriginalLength != scanned[i].OriginalLength ||
-					got[i].CumulativeDrops != scanned[i].CumulativeDrops ||
-					!got[i].Timestamp.Equal(scanned[i].Timestamp) {
-					t.Fatalf("%s: record %d differs:\n batch   %+v\n scanner %+v", name, i, got[i], scanned[i])
-				}
-			}
+			recordsEqual(t, name, got, scanned)
 		}
 	})
 }

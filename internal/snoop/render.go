@@ -34,13 +34,16 @@ func Summarize(records []Record) []FrameSummary {
 }
 
 // SummarizeStream is Summarize over a btsnoop stream: rows are emitted
-// one at a time as the capture is scanned, so arbitrarily large files
-// render in constant memory.
+// one at a time as the capture is scanned block by block, so
+// arbitrarily large files render in constant memory.
 func SummarizeStream(r io.Reader, emit func(FrameSummary)) error {
-	sc := NewScanner(r)
-	for sc.Scan() {
-		if row, ok := summarizeRecord(sc.Frame(), sc.Record()); ok {
-			emit(row)
+	sc := NewBatchScanner(r)
+	var b RecordBatch
+	for sc.ScanBatch(&b) {
+		for i, rec := range b.Records {
+			if row, ok := summarizeRecord(b.First+i, rec); ok {
+				emit(row)
+			}
 		}
 	}
 	return sc.Err()
@@ -48,8 +51,8 @@ func SummarizeStream(r io.Reader, emit func(FrameSummary)) error {
 
 // SummarizeRecord decodes one record into a trace-table row, reporting
 // false for frames the table skips (data packets). It is the per-record
-// form of SummarizeStream for callers that drive their own Scanner —
-// e.g. to observe every record, not just the rendered ones.
+// form of SummarizeStream for callers that drive their own BatchScanner
+// — e.g. to observe every record, not just the rendered ones.
 func SummarizeRecord(frame int, rec Record) (FrameSummary, bool) {
 	return summarizeRecord(frame, rec)
 }
@@ -182,14 +185,19 @@ func ExtractLinkKeys(records []Record) []LinkKeyHit {
 }
 
 // ScanLinkKeys is ExtractLinkKeys over a btsnoop stream: the capture is
-// scanned record by record with a reused buffer, so multi-gigabyte dumps
+// scanned block by block with a reused buffer, so multi-gigabyte dumps
 // are searched in constant memory.
 func ScanLinkKeys(r io.Reader) ([]LinkKeyHit, error) {
-	sc := NewScanner(r)
-	var hits []LinkKeyHit
-	for sc.Scan() {
-		if hit, ok := linkKeyFromRecord(sc.Frame(), sc.Record()); ok {
-			hits = append(hits, hit)
+	sc := NewBatchScanner(r)
+	var (
+		b    RecordBatch
+		hits []LinkKeyHit
+	)
+	for sc.ScanBatch(&b) {
+		for i, rec := range b.Records {
+			if hit, ok := linkKeyFromRecord(b.First+i, rec); ok {
+				hits = append(hits, hit)
+			}
 		}
 	}
 	return hits, sc.Err()

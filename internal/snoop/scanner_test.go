@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"reflect"
 	"testing"
 
 	"repro/internal/bt"
@@ -34,6 +33,9 @@ func serializeRecords(t testing.TB, recs []Record) []byte {
 	return buf.Bytes()
 }
 
+// TestScannerMatchesReadAll streams captures through a BatchScanner with
+// the smallest block size, so records straddle block boundaries and
+// ride the partial-element carry, and checks the result against ReadAll.
 func TestScannerMatchesReadAll(t *testing.T) {
 	captures := map[string][]byte{
 		"sample": serializeRecords(t, fixLengths(sampleRecords())),
@@ -45,60 +47,44 @@ func TestScannerMatchesReadAll(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ReadAll: %v", name, err)
 		}
-		sc := NewScanner(bytes.NewReader(data))
-		var got []Record
-		for sc.Scan() {
-			if sc.Frame() != len(got)+1 {
-				t.Fatalf("%s: frame %d at position %d", name, sc.Frame(), len(got))
-			}
-			got = append(got, sc.Record().Clone())
-		}
+		sc := NewBatchScannerSize(bytes.NewReader(data), 4<<10)
+		got := collectBatches(t, sc)
 		if err := sc.Err(); err != nil {
 			t.Fatalf("%s: scanner: %v", name, err)
 		}
 		if sc.Datalink() != DatalinkH4 {
 			t.Fatalf("%s: datalink %d", name, sc.Datalink())
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: scanner %d records, ReadAll %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i].Data, want[i].Data) ||
-				got[i].Flags != want[i].Flags ||
-				got[i].OriginalLength != want[i].OriginalLength ||
-				got[i].CumulativeDrops != want[i].CumulativeDrops ||
-				!got[i].Timestamp.Equal(want[i].Timestamp) {
-				t.Fatalf("%s: record %d differs:\n scanner %+v\n readall %+v", name, i, got[i], want[i])
-			}
-		}
+		recordsEqual(t, name, got, want)
 	}
 }
 
 // TestScannerTruncationBoundaries truncates a valid capture at every byte
-// offset and checks that Scanner and ReadAll agree on the record count
-// and on whether the prefix is an error.
+// offset and checks that a streaming BatchScanner and ReadAll agree on
+// the record count and on whether the prefix is an error.
 func TestScannerTruncationBoundaries(t *testing.T) {
 	data := serializeRecords(t, fixLengths(sampleRecords()))
 	for cut := 0; cut <= len(data); cut++ {
 		prefix := data[:cut]
 		want, wantErr := ReadAll(prefix)
 
-		sc := NewScanner(bytes.NewReader(prefix))
+		sc := NewBatchScannerSize(bytes.NewReader(prefix), 4<<10)
+		var b RecordBatch
 		got := 0
-		for sc.Scan() {
-			got++
+		for sc.ScanBatch(&b) {
+			got += len(b.Records)
 		}
 		gotErr := sc.Err()
 
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("cut %d: ReadAll err %v, Scanner err %v", cut, wantErr, gotErr)
+			t.Fatalf("cut %d: ReadAll err %v, scanner err %v", cut, wantErr, gotErr)
 		}
 		if got != len(want) {
-			t.Fatalf("cut %d: ReadAll %d records, Scanner %d", cut, len(want), got)
+			t.Fatalf("cut %d: ReadAll %d records, scanner %d", cut, len(want), got)
 		}
 		// Scanning past the failure must stay stopped.
-		if sc.Scan() {
-			t.Fatalf("cut %d: Scan returned true after stop", cut)
+		if sc.ScanBatch(&b) {
+			t.Fatalf("cut %d: ScanBatch returned true after stop", cut)
 		}
 	}
 }
@@ -111,21 +97,25 @@ func TestScannerTruncationBoundaries(t *testing.T) {
 func TestScannerClassifiesDeathOffsets(t *testing.T) {
 	data, _ := synthCapture(t, 50, 21)
 
-	boundaries := map[int64]bool{16: true} // after the file header
-	sc := NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		boundaries[sc.Offset()] = true
-	}
-	if err := sc.Err(); err != nil {
+	recs, err := ReadAll(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sc.Offset(); got != int64(len(data)) {
-		t.Fatalf("full scan offset %d, want %d", got, len(data))
+	off := int64(16)
+	boundaries := map[int64]bool{off: true} // after the file header
+	for _, rec := range recs {
+		off += int64(24 + len(rec.Data))
+		boundaries[off] = true
+	}
+	if off != int64(len(data)) {
+		t.Fatalf("records end at offset %d, capture is %d bytes", off, len(data))
 	}
 
+	var b RecordBatch
+
 	for cut := 0; cut <= len(data); cut++ {
-		sc := NewScanner(bytes.NewReader(data[:cut]))
-		for sc.Scan() {
+		sc := NewBatchScanner(bytes.NewReader(data[:cut]))
+		for sc.ScanBatch(&b) {
 		}
 		err := sc.Err()
 		if boundaries[int64(cut)] {
@@ -149,37 +139,6 @@ func TestScannerClassifiesDeathOffsets(t *testing.T) {
 	}
 }
 
-// TestScannerBadFramingOffset pins the failure offset for a misframed
-// record to the start of its header, not wherever reading stopped.
-func TestScannerBadFramingOffset(t *testing.T) {
-	recs := fixLengths(sampleRecords())
-	data := serializeRecords(t, recs)
-	bad := append([]byte(nil), data...)
-	// Second record's header begins after the file header plus the first
-	// record; claim original < included there.
-	secondHdr := 16 + 24 + len(recs[0].Data)
-	bad[secondHdr+3] = 1 // original length = 1, included length unchanged
-
-	sc := NewScanner(bytes.NewReader(bad))
-	n := 0
-	for sc.Scan() {
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("scanned %d records before the bad header, want 1", n)
-	}
-	err := sc.Err()
-	if !errors.Is(err, ErrBadFraming) {
-		t.Fatalf("want ErrBadFraming, got %v", err)
-	}
-	if errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("framing error misclassified as truncation: %v", err)
-	}
-	if got := sc.Offset(); got != int64(secondHdr) {
-		t.Fatalf("Offset() = %d, want bad header start %d", got, secondHdr)
-	}
-}
-
 func TestFramingValidationRejectsInflatedLength(t *testing.T) {
 	data := serializeRecords(t, []Record{
 		{Data: []byte{0x01, 0x03, 0x0c, 0x00}, OriginalLength: 4},
@@ -192,11 +151,12 @@ func TestFramingValidationRejectsInflatedLength(t *testing.T) {
 	if _, err := ReadAll(bad); !errors.Is(err, ErrBadFraming) {
 		t.Errorf("ReadAll: want ErrBadFraming, got %v", err)
 	}
-	sc := NewScanner(bytes.NewReader(bad))
-	for sc.Scan() {
+	sc := NewBatchScanner(bytes.NewReader(bad))
+	var b RecordBatch
+	for sc.ScanBatch(&b) {
 	}
 	if err := sc.Err(); !errors.Is(err, ErrBadFraming) {
-		t.Errorf("Scanner: want ErrBadFraming, got %v", err)
+		t.Errorf("BatchScanner: want ErrBadFraming, got %v", err)
 	}
 }
 
@@ -366,49 +326,4 @@ func TestHCIDumpWriteTo(t *testing.T) {
 		t.Fatal("WriteTo differs from Bytes")
 	}
 	var _ io.WriterTo = d
-}
-
-// TestScannerShrinksBufferAfterGiantRecord is the regression test for
-// payload-buffer retention: one giant record grows the reused buffer,
-// and a long run of ordinary records after it must release that
-// high-water allocation — not pin it for the rest of the stream — while
-// yielding exactly the records ReadAll sees.
-func TestScannerShrinksBufferAfterGiantRecord(t *testing.T) {
-	const giant = 200 << 10
-	recs := []Record{{Flags: FlagCommandEvent, Timestamp: CaptureBase, Data: make([]byte, giant)}}
-	for i := 0; i < shrinkAfter+8; i++ {
-		recs = append(recs, Record{
-			Flags:     FlagCommandEvent,
-			Timestamp: CaptureBase,
-			Data:      hci.EncodeCommand(&hci.Reset{}).Wire(),
-		})
-	}
-	data := serializeRecords(t, fixLengths(recs))
-	want, err := ReadAll(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sc := NewScanner(bytes.NewReader(data))
-	var got []Record
-	peak := 0
-	for sc.Scan() {
-		if cap(sc.buf) > peak {
-			peak = cap(sc.buf)
-		}
-		got = append(got, sc.Record().Clone())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if peak < giant {
-		t.Fatalf("buffer peaked at %d bytes, the giant record needed %d", peak, giant)
-	}
-	if cap(sc.buf) > shrinkCap {
-		t.Fatalf("buffer still holds %d bytes after %d small records; want <= %d",
-			cap(sc.buf), shrinkAfter+8, shrinkCap)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("scanner records diverge from ReadAll after shrink: got %d records, want %d", len(got), len(want))
-	}
 }

@@ -3,7 +3,6 @@ package snoop
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 	"testing/quick"
 	"time"
@@ -142,9 +141,10 @@ func TestReaderRejectsBadInput(t *testing.T) {
 		t.Errorf("truncated: %v", err)
 	}
 	if len(trunc) != 0 {
-		r := NewReader(bytes.NewReader(nil))
-		if _, err := r.ReadRecord(); !errors.Is(err, ErrTruncated) {
-			t.Errorf("empty stream: %v", err)
+		r := NewBatchScanner(bytes.NewReader(nil))
+		var b RecordBatch
+		if r.ScanBatch(&b) || !errors.Is(r.Err(), ErrTruncated) {
+			t.Errorf("empty stream: %v", r.Err())
 		}
 	}
 }
@@ -153,12 +153,16 @@ func TestReaderStopsAtEOF(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	_ = w.WriteRecord(Record{Data: []byte{0x01, 0x03, 0x0c, 0x00}, OriginalLength: 4})
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if _, err := r.ReadRecord(); err != nil {
-		t.Fatal(err)
+	r := NewBatchScanner(bytes.NewReader(buf.Bytes()))
+	var b RecordBatch
+	if !r.ScanBatch(&b) || len(b.Records) != 1 {
+		t.Fatalf("first batch: %d records, err %v", len(b.Records), r.Err())
 	}
-	if _, err := r.ReadRecord(); err != io.EOF {
-		t.Fatalf("want io.EOF, got %v", err)
+	if r.ScanBatch(&b) {
+		t.Fatalf("scan past the last record returned %d more", len(b.Records))
+	}
+	if err := r.Err(); err != nil {
+		t.Fatalf("clean end of log reported %v", err)
 	}
 	if r.Datalink() != DatalinkH4 {
 		t.Fatalf("datalink %d", r.Datalink())

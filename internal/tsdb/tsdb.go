@@ -20,7 +20,7 @@
 // write-temp-then-rename) and whole-file deletion (retention) — the
 // discipline that makes recovery a scan, not a repair.
 //
-// Crash safety is the snoop.Scanner discipline applied to our own
+// Crash safety is the snoop.BatchScanner discipline applied to our own
 // files: a torn tail — a crash mid-write, a full disk, a truncated copy
 // — is detected by the length/CRC framing, and Open truncates the
 // segment back to the last intact frame. Everything appended before the

@@ -13,9 +13,9 @@ go test ./...
 go test -race ./...
 go test -run xxx -bench . -benchtime 1x .
 
-# Streaming forensics pipeline: smoke the synthetic capture generator and
-# the capture-scan benchmarks (baseline vs zero-copy stream).
-go test -run xxx -bench 'BenchmarkForensicsScan|BenchmarkSnoopScanner|BenchmarkSynthesize' -benchtime 1x .
+# Capture analysis: smoke the synthetic capture generator and the
+# capture-scan benchmarks (baseline vs zero-copy batch path).
+go test -run xxx -bench 'BenchmarkForensicsScan|BenchmarkSynthesize' -benchtime 1x .
 
 if [ -n "${BENCH_JSON:-}" ]; then
     go run ./cmd/benchtables -benchjson "$BENCH_JSON"

@@ -1,7 +1,7 @@
-// Streaming-pipeline benchmarks: the buffer-everything forensics path
-// against the zero-copy streaming pipeline over a large synthetic
-// capture (go test -bench=ForensicsScan). The custom records/s metric is
-// the headline number; allocs/op shows the zero-copy win.
+// Capture-analysis benchmarks: the buffer-everything forensics path
+// against the zero-copy batch path over a large synthetic capture
+// (go test -bench=ForensicsScan). The custom records/s metric is the
+// headline number; allocs/op shows the zero-copy win.
 package repro
 
 import (
@@ -26,8 +26,8 @@ func benchCapture(b *testing.B, records int) []byte {
 // BenchmarkForensicsScan compares the full capture-to-report paths on a
 // 200k-record synthetic capture. "baseline" is the pre-streaming
 // pipeline (snoop.ReadAll materializes every record, forensics.Analyze
-// full-parses each); the stream variants run the Scanner-fed zero-copy
-// pipeline, serial and with decode workers.
+// full-parses each); "bytes" is forensics.AnalyzeBytes, the block sweep
+// with the prefilter inside it over the capture in place.
 func BenchmarkForensicsScan(b *testing.B) {
 	const records = 200_000
 	data := benchCapture(b, records)
@@ -67,61 +67,20 @@ func BenchmarkForensicsScan(b *testing.B) {
 			return forensics.Analyze(recs), nil
 		})
 	})
-	b.Run("stream_workers1", func(b *testing.B) {
+	b.Run("bytes", func(b *testing.B) {
 		run(b, func() (*forensics.Report, error) {
-			return forensics.AnalyzeStreamWorkers(bytes.NewReader(data), 1)
-		})
-	})
-	b.Run("stream", func(b *testing.B) {
-		run(b, func() (*forensics.Report, error) {
-			return forensics.AnalyzeStream(bytes.NewReader(data))
+			return forensics.AnalyzeBytes(data)
 		})
 	})
 
 	// Identity across paths, checked once outside the timing loops.
-	got, err := forensics.AnalyzeStream(bytes.NewReader(data))
+	got, err := forensics.AnalyzeBytes(data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		b.Fatal("streaming report differs from in-memory report")
+		b.Fatal("batch report differs from in-memory report")
 	}
-}
-
-// BenchmarkSnoopScanner isolates the record-iteration layer: ReadAll's
-// one-allocation-per-record materialization vs the Scanner's reused
-// buffer.
-func BenchmarkSnoopScanner(b *testing.B) {
-	const records = 200_000
-	data := benchCapture(b, records)
-
-	b.Run("readall", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			recs, err := snoop.ReadAll(data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(recs) != records {
-				b.Fatal("short read")
-			}
-		}
-	})
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sc := snoop.NewScanner(bytes.NewReader(data))
-			n := 0
-			for sc.Scan() {
-				n++
-			}
-			if err := sc.Err(); err != nil || n != records {
-				b.Fatalf("n=%d err=%v", n, err)
-			}
-		}
-	})
 }
 
 // BenchmarkSynthesize measures the capture generator itself (it must be
