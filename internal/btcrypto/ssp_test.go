@@ -2,12 +2,33 @@ package btcrypto
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// refDH is the direct crypto/ecdh shared secret of kp with peer, the
+// reference the DHKey pair memo must reproduce on every call.
+func refDH(t testing.TB, kp *KeyPair, peer []byte) []byte {
+	t.Helper()
+	pub, err := ecdh.P256().NewPublicKey(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := kp.priv.ECDH(pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
 func TestECDHAgreement(t *testing.T) {
 	a, err := GenerateKeyPair(testRand(1))
@@ -26,6 +47,14 @@ func TestECDHAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The second call is a memo hit, so each side is checked against the
+	// direct computation, not only against the other side.
+	if !bytes.Equal(s1, refDH(t, a, b.PublicBytes())) {
+		t.Fatal("initiator secret differs from direct ECDH")
+	}
+	if !bytes.Equal(s2, refDH(t, b, a.PublicBytes())) {
+		t.Fatal("responder secret differs from direct ECDH")
+	}
 	if !bytes.Equal(s1, s2) {
 		t.Fatal("ECDH shared secrets disagree")
 	}
@@ -34,8 +63,139 @@ func TestECDHAgreement(t *testing.T) {
 	}
 }
 
+func TestDHKeyMemoMatchesReference(t *testing.T) {
+	rng := testRand(50)
+	// hub pairs with every a as well, so one own key meets many peers.
+	hub, err := GenerateKeyPair(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		a, err := GenerateKeyPair(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := GenerateKeyPair(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// On each pair the first call computes, the second takes the entry
+		// and the third recomputes after the entry is gone.
+		calls := []struct {
+			own, peer *KeyPair
+		}{{a, b}, {b, a}, {a, b}, {hub, a}, {a, hub}, {hub, a}}
+		// Each caller owns its slice: the test scribbles on every result,
+		// which must not reach a later caller, and a later call must not
+		// rewrite an earlier result.
+		var held, heldWant [][]byte
+		for n, c := range calls {
+			want := refDH(t, c.own, c.peer.PublicBytes())
+			got, err := c.own.DHKey(c.peer.PublicBytes())
+			if err != nil {
+				t.Fatalf("pair %d call %d: %v", i, n+1, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("pair %d call %d: %x, want %x", i, n+1, got, want)
+			}
+			for j := range held {
+				if !bytes.Equal(held[j], heldWant[j]) {
+					t.Fatalf("pair %d call %d rewrote the result of call %d", i, n+1, j+1)
+				}
+			}
+			for j := range got {
+				got[j] ^= 0xff
+			}
+			held, heldWant = append(held, got), append(heldWant, bytes.Clone(got))
+		}
+	}
+}
+
+func TestDHKeyMemoSelfPair(t *testing.T) {
+	// A key paired with its own public point: both lookups share one
+	// memo key, and both must still return a·(aG).
+	a, _ := GenerateKeyPair(testRand(51))
+	want := refDH(t, a, a.PublicBytes())
+	for n := 0; n < 3; n++ {
+		got, err := a.DHKey(a.PublicBytes())
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("call %d: %x, %v; want %x", n+1, got, err, want)
+		}
+	}
+}
+
+func TestDHKeyMemoIsBounded(t *testing.T) {
+	dhMemo.Lock()
+	clear(dhMemo.m)
+	for i := 0; i < dhMemoMax; i++ {
+		var k [2 * pubLen]byte
+		k[0], k[1] = byte(i), byte(i>>8)
+		dhMemo.m[k] = [32]byte{}
+	}
+	dhMemo.Unlock()
+	a, _ := GenerateKeyPair(testRand(52))
+	b, _ := GenerateKeyPair(testRand(53))
+	if _, err := a.DHKey(b.PublicBytes()); err != nil {
+		t.Fatal(err)
+	}
+	dhMemo.Lock()
+	n := len(dhMemo.m)
+	dhMemo.Unlock()
+	if n != 1 {
+		t.Fatalf("a full memo must be cleared before the insert: %d entries, want 1", n)
+	}
+	got, err := b.DHKey(a.PublicBytes())
+	if err != nil || !bytes.Equal(got, refDH(t, b, a.PublicBytes())) {
+		t.Fatalf("after the clear: %x, %v", got, err)
+	}
+}
+
+func TestDHKeyConcurrentPairs(t *testing.T) {
+	const workers, pairs = 8, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		// Key generation and the reference run here, before the workers
+		// start, so t.Fatal stays on the test goroutine.
+		rng := testRand(int64(100 + g))
+		type pair struct {
+			a, b *KeyPair
+			want []byte
+		}
+		ps := make([]pair, pairs)
+		for i := range ps {
+			a, _ := GenerateKeyPair(rng)
+			b, _ := GenerateKeyPair(rng)
+			ps[i] = pair{a, b, refDH(t, a, b.PublicBytes())}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range ps {
+				for n, side := range [][2]*KeyPair{{p.a, p.b}, {p.b, p.a}} {
+					got, err := side[0].DHKey(side[1].PublicBytes())
+					if err != nil || !bytes.Equal(got, p.want) {
+						errs <- fmt.Errorf("worker %d pair %d side %d: %x, %v", g, i, n, got, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestECDHRejectsGarbagePublicKey(t *testing.T) {
 	a, _ := GenerateKeyPair(testRand(3))
+	// A valid pairing on the same own key first: its memo traffic must
+	// not let an invalid peer through.
+	b, _ := GenerateKeyPair(testRand(5))
+	if _, err := a.DHKey(b.PublicBytes()); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := a.DHKey([]byte{1, 2, 3}); err == nil {
 		t.Fatal("garbage peer key must be rejected")
 	}
@@ -44,6 +204,12 @@ func TestECDHRejectsGarbagePublicKey(t *testing.T) {
 	bad[0] = 4
 	if _, err := a.DHKey(bad); err == nil {
 		t.Fatal("off-curve peer key must be rejected")
+	}
+	// Nor is the valid peer's point with its Y coordinate flipped.
+	flip := b.PublicBytes()
+	flip[64] ^= 1
+	if _, err := a.DHKey(flip); err == nil {
+		t.Fatal("corrupted peer key must be rejected")
 	}
 }
 
@@ -165,3 +331,120 @@ func TestDeterministicKeyGeneration(t *testing.T) {
 		t.Fatal("key generation must be deterministic given the reader")
 	}
 }
+
+// refHMAC128 is the crypto/hmac construction hmac128 replaced.
+func refHMAC128(key []byte, msg ...[]byte) [16]byte {
+	mac := hmac.New(sha256.New, key)
+	for _, m := range msg {
+		mac.Write(m)
+	}
+	var out [16]byte
+	copy(out[:], mac.Sum(nil))
+	return out
+}
+
+func TestHMAC128MatchesCryptoHMAC(t *testing.T) {
+	rng := testRand(60)
+	// 16 and 32 are the SSP key sizes; the rest cover keys at and past one
+	// SHA-256 block, which RFC 2104 hashes first.
+	for _, kl := range []int{0, 16, 32, 63, 64, 65, 100} {
+		for ml := 0; ml <= hmacMaxMsg; ml++ {
+			key := make([]byte, kl)
+			msg := make([]byte, ml)
+			rng.Read(key)
+			rng.Read(msg)
+			if got, want := hmac128(key, msg), refHMAC128(key, msg); got != want {
+				t.Fatalf("key %d msg %d: %x, want %x", kl, ml, got, want)
+			}
+		}
+	}
+}
+
+func TestSSPFunctionsMatchReference(t *testing.T) {
+	rng := testRand(61)
+	for i := 0; i < 200; i++ {
+		var u, v [32]byte
+		var x, y, r [16]byte
+		var ioCap [3]byte
+		var a1, a2 [6]byte
+		for _, b := range [][]byte{u[:], v[:], x[:], y[:], r[:], ioCap[:], a1[:], a2[:]} {
+			rng.Read(b)
+		}
+		z := byte(rng.Intn(256))
+		w := make([]byte, 32)
+		rng.Read(w)
+
+		if got, want := F1(u, v, x, z), refHMAC128(x[:], u[:], v[:], []byte{z}); got != want {
+			t.Fatalf("F1 #%d: %x, want %x", i, got, want)
+		}
+		h := sha256.New()
+		for _, b := range [][]byte{u[:], v[:], x[:], y[:]} {
+			h.Write(b)
+		}
+		if got, want := G(u, v, x, y), binary.BigEndian.Uint32(h.Sum(nil)[28:]); got != want {
+			t.Fatalf("G #%d: %08x, want %08x", i, got, want)
+		}
+		if got, want := F2(w, x, y, a1, a2), refHMAC128(w, x[:], y[:], []byte("btlk"), a1[:], a2[:]); got != want {
+			t.Fatalf("F2 #%d: %x, want %x", i, got, want)
+		}
+		if got, want := F3(w, x, y, r, ioCap, a1, a2), refHMAC128(w, x[:], y[:], r[:], ioCap[:], a1[:], a2[:]); got != want {
+			t.Fatalf("F3 #%d: %x, want %x", i, got, want)
+		}
+	}
+}
+
+func TestSSPFunctionsDoNotAllocate(t *testing.T) {
+	var u, v [32]byte
+	var x, y, r [16]byte
+	var a [6]byte
+	w := make([]byte, 32)
+	for name, f := range map[string]func(){
+		"F1": func() { F1(u, v, x, 1) },
+		"F2": func() { F2(w, x, y, a, a) },
+		"F3": func() { F3(w, x, y, r, [3]byte{}, a, a) },
+		"G":  func() { G(u, v, x, y) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkSSPPairing runs the crypto of one numeric-comparison pairing:
+// both key pairs, both sides' DHKey, the commitment and its check, g, the
+// link key and one check value.
+func BenchmarkSSPPairing(b *testing.B) {
+	rng := testRand(70)
+	var na, nb, r [16]byte
+	var a1, a2 [6]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ka, err := GenerateKeyPair(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kb, err := GenerateKeyPair(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wa, err := ka.DHKey(kb.PublicBytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		wb, err := kb.DHKey(ka.PublicBytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ua, ub := ka.PublicX(), kb.PublicX()
+		commit := F1(ub, ua, nb, 0)
+		if F1(ub, ua, nb, 0) != commit {
+			b.Fatal("f1 commitment check failed")
+		}
+		sspSink ^= G(ua, ub, na, nb)
+		lk := F2(wa, na, nb, a1, a2)
+		e := F3(wb, nb, na, r, [3]byte{}, a2, a1)
+		sspSink ^= uint32(lk[0]) ^ uint32(e[0])
+	}
+}
+
+var sspSink uint32

@@ -1,0 +1,40 @@
+package eval
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+)
+
+// campaignGolden is the SHA-256 of the JSON rows of the cross-attack
+// matrix and Table II at seed 3 with 4 trials per cell. It was recorded
+// with every ECDH computed directly and f1/f2/f3 on crypto/hmac, so it
+// holds the SSP fast paths to those outputs; any crypto or simulator
+// change that moves a single trial outcome, at any worker count, breaks
+// it.
+const campaignGolden = "a1f2eee024bd5fd1607b6a0e020fc57493d3a53f5df46109f70e906e70edbc15"
+
+func TestCampaignRowsGolden(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		attacks, err := RunAttackMatrixWorkers(3, 4, w)
+		if err != nil {
+			t.Fatalf("workers=%d: attack matrix: %v", w, err)
+		}
+		table2, err := RunTableIIWorkers(3, 4, w)
+		if err != nil {
+			t.Fatalf("workers=%d: Table II: %v", w, err)
+		}
+		b, err := json.Marshal(struct {
+			Attacks []AttackRow
+			TableII []TableIIRow
+		}{attacks, table2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != campaignGolden {
+			t.Errorf("workers=%d: rows hash %s, want %s\n%s", w, got, campaignGolden, b)
+		}
+	}
+}

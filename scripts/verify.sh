@@ -17,6 +17,10 @@ go test -run xxx -bench . -benchtime 1x .
 # capture-scan benchmarks (baseline vs zero-copy batch path).
 go test -run xxx -bench 'BenchmarkForensicsScan|BenchmarkSynthesize' -benchtime 1x .
 
+# SSP crypto: smoke one simulated pairing's worth of key generation,
+# ECDH (both sides, through the pair memo), f1, g, f2 and f3.
+go test -run xxx -bench BenchmarkSSPPairing -benchtime 1x ./internal/btcrypto
+
 if [ -n "${BENCH_JSON:-}" ]; then
     go run ./cmd/benchtables -benchjson "$BENCH_JSON"
     go run ./cmd/benchtables -checkjson "$BENCH_JSON"
