@@ -49,9 +49,21 @@ func MustBDADDR(s string) BDADDR {
 	return a
 }
 
-// String renders the canonical colon-separated lowercase form.
+// String renders the canonical colon-separated lowercase form. It fills
+// a fixed buffer from a hex table rather than calling fmt.Sprintf: every
+// live finding renders its peer, so this runs on the ingest hot path and
+// costs one allocation, the returned string.
 func (a BDADDR) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+	const hexDigits = "0123456789abcdef"
+	var b [17]byte
+	for i, v := range a {
+		if i > 0 {
+			b[3*i-1] = ':'
+		}
+		b[3*i] = hexDigits[v>>4]
+		b[3*i+1] = hexDigits[v&0x0f]
+	}
+	return string(b[:])
 }
 
 // NAP returns the 16-bit non-significant address part (company id high).

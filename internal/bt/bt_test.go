@@ -2,6 +2,8 @@ package bt
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -206,4 +208,29 @@ func TestMustLinkKey(t *testing.T) {
 		}
 	}()
 	MustLinkKey("nope")
+}
+
+// TestBDADDRStringMatchesSprintf pins the table-driven String to the
+// fmt.Sprintf form it replaced, over edge and random addresses, and to
+// one allocation (the returned string).
+func TestBDADDRStringMatchesSprintf(t *testing.T) {
+	addrs := []BDADDR{{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, {0x00, 0x1a, 0x7d, 0xda, 0x71, 0x0a}, {0x0f, 0xf0, 0x01, 0x10, 0x9a, 0xa9}}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		var a BDADDR
+		rng.Read(a[:])
+		addrs = append(addrs, a)
+	}
+	for _, a := range addrs {
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+		if got := a.String(); got != want {
+			t.Fatalf("% x: String() = %q, want %q", a[:], got, want)
+		}
+	}
+	a := addrs[len(addrs)-1]
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = a.String() }); n > 1 {
+		t.Fatalf("String allocates %v times, want at most 1", n)
+	}
+	_ = sink
 }

@@ -22,7 +22,7 @@ type attackCapture struct {
 	wantKinds []string
 	// absentKinds must not be present.
 	absentKinds []string
-	run         func(t *testing.T) []snoop.Record
+	run         func(t testing.TB) []snoop.Record
 }
 
 func attackCaptures() []attackCapture {
@@ -30,7 +30,7 @@ func attackCaptures() []attackCapture {
 		{
 			name:      "stealtooth",
 			wantKinds: []string{FindingSilentRepairing, FindingSilentKeyChange},
-			run: func(t *testing.T) []snoop.Record {
+			run: func(t testing.TB) []snoop.Record {
 				tb, err := core.NewTestbed(7, core.TestbedOptions{Bond: true, ClientPlatform: device.AndroidAutomotive})
 				if err != nil {
 					t.Fatal(err)
@@ -51,7 +51,7 @@ func attackCaptures() []attackCapture {
 			name:        "happy-mitm",
 			wantKinds:   []string{FindingSilentKeyChange},
 			absentKinds: []string{FindingKeyTypeDowngrade},
-			run: func(t *testing.T) []snoop.Record {
+			run: func(t testing.TB) []snoop.Record {
 				tb, err := core.NewTestbed(7, core.TestbedOptions{Bond: true, VictimSilentBondedRepair: true})
 				if err != nil {
 					t.Fatal(err)
@@ -69,7 +69,7 @@ func attackCaptures() []attackCapture {
 		{
 			name:      "blurtooth",
 			wantKinds: []string{FindingKeyTypeDowngrade, FindingSilentKeyChange},
-			run: func(t *testing.T) []snoop.Record {
+			run: func(t testing.TB) []snoop.Record {
 				tb, err := core.NewTestbed(7, core.TestbedOptions{
 					ClientPlatform:           device.GalaxyS21Android11,
 					VictimCTKD:               true,
@@ -96,7 +96,7 @@ func attackCaptures() []attackCapture {
 				FindingSilentRepairing, FindingSilentKeyChange, FindingKeyTypeDowngrade,
 				FindingPageBlocking,
 			},
-			run: func(t *testing.T) []snoop.Record {
+			run: func(t testing.TB) []snoop.Record {
 				tb, err := core.NewTestbed(7, core.TestbedOptions{})
 				if err != nil {
 					t.Fatal(err)
@@ -111,7 +111,7 @@ func attackCaptures() []attackCapture {
 		{
 			name:      "passkey-sniff",
 			wantKinds: []string{FindingSilentKeyChange},
-			run: func(t *testing.T) []snoop.Record {
+			run: func(t testing.TB) []snoop.Record {
 				printed := uint32(428571)
 				tb, err := core.NewTestbed(7, core.TestbedOptions{ClientFixedPasskey: &printed})
 				if err != nil {
@@ -135,7 +135,7 @@ func attackCaptures() []attackCapture {
 			// key-replacement trace.
 			name:        "passkey-guard",
 			absentKinds: []string{FindingSilentKeyChange, FindingKeyTypeDowngrade},
-			run: func(t *testing.T) []snoop.Record {
+			run: func(t testing.TB) []snoop.Record {
 				printed := uint32(428571)
 				tb, err := core.NewTestbed(7, core.TestbedOptions{ClientFixedPasskey: &printed, EnhancedPasskey: true})
 				if err != nil {

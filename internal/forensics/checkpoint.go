@@ -61,8 +61,13 @@ func (d *Detector) SnapshotState() ([]byte, error) {
 // persisted finding-by-finding); hcidump -checkpoint keeps full
 // snapshots because it prints the batch report.
 //
-// The bytes are a valid CheckpointVersion-1 checkpoint — RestoreState
-// accepts either kind; the difference is policy, not format.
+// A live detector (NewLiveDetector) writes the same bytes a full one
+// writes at the same point, and at O(live set) cost, since its session
+// list is already trimmed to about the live set.
+//
+// The bytes are a valid checkpoint of the current CheckpointVersion —
+// RestoreState accepts either kind; the difference is policy, not
+// format.
 func (d *Detector) SnapshotLiveState() ([]byte, error) {
 	return d.snapshot(true)
 }
@@ -74,16 +79,9 @@ func (d *Detector) snapshot(live bool) ([]byte, error) {
 	st := d.st
 	sessions := st.rep.Sessions
 	if live {
-		// Keep only sessions a future record can still reach — the
-		// values of the handle and peer maps — preserving report order
-		// so identical states snapshot to identical bytes.
-		keep := make(map[*Session]bool, len(st.byHandle)+len(st.byPeer))
-		for _, s := range st.byHandle {
-			keep[s] = true
-		}
-		for _, s := range st.byPeer {
-			keep[s] = true
-		}
+		// Keep only sessions a future record can still reach, preserving
+		// report order so identical states snapshot to identical bytes.
+		keep := st.liveSessions()
 		sessions = make([]*Session, 0, len(keep))
 		for _, s := range st.rep.Sessions {
 			if keep[s] {
@@ -243,7 +241,14 @@ func (d *Detector) snapshot(live bool) ([]byte, error) {
 // captured. The detector behaves exactly as the snapshotted one would:
 // frame numbering continues from the checkpoint, finding sequence
 // numbers continue from the checkpoint, and the report carries every
-// session, exposure, and finding accumulated before it.
+// session, exposure, and finding accumulated before it. A live detector
+// stays live: it drops the checkpoint's exposures and findings and trims
+// its sessions as it would have trimmed them itself.
+//
+// Only the canonical encoding SnapshotState writes is accepted — bools
+// are 0 or 1, times are normalized, map keys strictly ascending — so a
+// restored detector snapshots back to exactly the bytes it was restored
+// from.
 func (d *Detector) RestoreState(data []byte) error {
 	r := &ckpReader{b: data}
 	if v := r.u8(); r.err == nil && v != CheckpointVersion {
@@ -252,6 +257,7 @@ func (d *Detector) RestoreState(data []byte) error {
 	seq := r.u64()
 	frames := r.int()
 	st := newSessionState()
+	st.live = d.st != nil && d.st.live
 	st.frame = int(r.int())
 	st.ts = r.time()
 
@@ -323,8 +329,9 @@ func (d *Detector) RestoreState(data []byte) error {
 	}
 
 	n = r.u32()
+	var prevH bt.ConnHandle
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		h := bt.ConnHandle(r.u16())
+		h := r.handleAfter(i, &prevH)
 		s, err := session(int64(r.u32()))
 		if err != nil {
 			return err
@@ -334,9 +341,9 @@ func (d *Detector) RestoreState(data []byte) error {
 		}
 	}
 	n = r.u32()
+	var prevP bt.BDADDR
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		var p bt.BDADDR
-		r.addr(&p)
+		p := r.addrAfter(i, &prevP)
 		s, err := session(int64(r.u32()))
 		if err != nil {
 			return err
@@ -347,26 +354,22 @@ func (d *Detector) RestoreState(data []byte) error {
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		var p bt.BDADDR
-		r.addr(&p)
-		st.pendingIncoming[p] = true
+		st.pendingIncoming[r.addrAfter(i, &prevP)] = true
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		st.authPending[bt.ConnHandle(r.u16())] = true
+		st.authPending[r.handleAfter(i, &prevH)] = true
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		var p bt.BDADDR
 		var k bt.LinkKey
-		r.addr(&p)
+		p := r.addrAfter(i, &prevP)
 		r.fixed(k[:])
 		st.lastKey[p] = k
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		var p bt.BDADDR
-		r.addr(&p)
+		p := r.addrAfter(i, &prevP)
 		st.lastKeyType[p] = bt.LinkKeyType(r.u8())
 	}
 	if r.err != nil {
@@ -374,6 +377,10 @@ func (d *Detector) RestoreState(data []byte) error {
 	}
 	if r.off != len(data) {
 		return fmt.Errorf("forensics: corrupt checkpoint: %d trailing bytes", len(data)-r.off)
+	}
+	if st.live {
+		st.rep.Exposures, st.rep.Findings = nil, nil
+		st.trim()
 	}
 
 	d.seq = seq
@@ -443,7 +450,20 @@ func (r *ckpReader) u8() byte {
 	return v[0]
 }
 
-func (r *ckpReader) bool() bool { return r.u8() != 0 }
+func (r *ckpReader) fail(at int, what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("forensics: corrupt checkpoint: %s at byte %d", what, at)
+	}
+}
+
+// bool accepts only the 0 and 1 appendCkpBool writes.
+func (r *ckpReader) bool() bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail(r.off-1, "non-canonical bool")
+	}
+	return v == 1
+}
 
 func (r *ckpReader) u16() uint16 {
 	v := r.take(2)
@@ -484,12 +504,38 @@ func (r *ckpReader) addr(p *bt.BDADDR) {
 	copy(p[:], r.take(len(p)))
 }
 
+// handleAfter reads the i-th key of a sorted handle set, which must be
+// strictly greater than the previous one in *prev.
+func (r *ckpReader) handleAfter(i uint32, prev *bt.ConnHandle) bt.ConnHandle {
+	h := bt.ConnHandle(r.u16())
+	if i > 0 && h <= *prev {
+		r.fail(r.off-2, "handle keys out of order")
+	}
+	*prev = h
+	return h
+}
+
+// addrAfter reads the i-th key of a sorted address set, which must be
+// strictly greater than the previous one in *prev.
+func (r *ckpReader) addrAfter(i uint32, prev *bt.BDADDR) bt.BDADDR {
+	var p bt.BDADDR
+	r.addr(&p)
+	if i > 0 && bytes.Compare(p[:], prev[:]) <= 0 {
+		r.fail(r.off-len(p), "address keys out of order")
+	}
+	*prev = p
+	return p
+}
+
 func (r *ckpReader) fixed(p []byte) {
 	copy(p, r.take(len(p)))
 }
 
+// time accepts only what appendCkpTime writes: flag 0 alone for the
+// zero time, or flag 1 with a non-zero instant and nanoseconds below 1e9.
 func (r *ckpReader) time() time.Time {
-	if r.u8() == 0 {
+	at := r.off
+	if !r.bool() {
 		return time.Time{}
 	}
 	sec := int64(r.u64())
@@ -497,5 +543,9 @@ func (r *ckpReader) time() time.Time {
 	if r.err != nil {
 		return time.Time{}
 	}
-	return time.Unix(sec, nsec).UTC()
+	t := time.Unix(sec, nsec).UTC()
+	if nsec >= 1e9 || t.IsZero() {
+		r.fail(at, "non-canonical time")
+	}
+	return t
 }

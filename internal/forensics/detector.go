@@ -37,10 +37,22 @@ type Detector struct {
 	snapCap int
 }
 
-// NewDetector returns an empty Detector.
+// NewDetector returns an empty Detector that accumulates the full batch
+// Report.
 func NewDetector() *Detector {
 	d := &Detector{}
 	d.install(newSessionState())
+	return d
+}
+
+// NewLiveDetector returns an empty Detector in live mode. Push, PushKept,
+// Drain and the checkpoint methods behave as on NewDetector, and the
+// events are identical, but the batch report is not kept (see Finish),
+// so memory stays bounded by the live set over an unbounded stream.
+// RestoreState keeps the mode.
+func NewLiveDetector() *Detector {
+	d := NewDetector()
+	d.st.live = true
 	return d
 }
 
@@ -117,4 +129,9 @@ func (d *Detector) Findings() uint64 { return d.seq }
 // Finish returns the accumulated batch report. The detector may keep
 // receiving pushes afterwards (the report is live state), but callers
 // that want a stable snapshot should stop pushing first.
+//
+// A live detector has no batch report: Finish returns empty Exposures
+// and Findings, and Sessions holds, in report order, the sessions a
+// future record can still reach plus disconnected ones not yet
+// compacted away — never more than twice the larger lookup map plus 64.
 func (d *Detector) Finish() *Report { return d.st.finish() }

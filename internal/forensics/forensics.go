@@ -19,6 +19,16 @@
 // records as they arrive, drain findings as soon as the reducer
 // produces them — and is what the blapd live-ingestion daemon and
 // hcidump's tail mode run against a capture that is still growing.
+//
+// A Detector keeps the batch Report as it goes, so its memory grows with
+// the capture. NewLiveDetector is the mode for a consumer that reads
+// findings only from Drain and runs for days, as blapd does: it records
+// no exposures or findings, and keeps only the sessions a future record
+// can still reach through the handle and peer lookup maps, plus a bounded
+// slack that is compacted away in amortized O(1) per session. Its state
+// is then bounded by the live set (open connections, pending accepts and
+// authentications, one key baseline per peer seen), not by the length of
+// the stream. It emits the same events a full Detector emits.
 package forensics
 
 import (
@@ -143,9 +153,12 @@ type sessionState struct {
 	// them onto each finding.
 	frame int
 	ts    time.Time
-	// onFinding, when set, observes each finding as it is appended to the
-	// report — the Detector's live event hook.
+	// onFinding, when set, observes each finding as it is emitted — the
+	// Detector's live event hook.
 	onFinding func(Finding)
+	// live keeps no batch report: emit and exposure only forward, and
+	// rep.Sessions is trimmed to the sessions the lookup maps reach.
+	live bool
 }
 
 func newSessionState() *sessionState {
@@ -160,22 +173,27 @@ func newSessionState() *sessionState {
 	}
 }
 
-// emit appends one finding to the report, stamped with the frame that
-// completed it, and forwards it to the live hook if one is installed.
+// emit appends one finding to the report (unless live), stamped with the
+// frame that completed it, and forwards it to the live hook if one is
+// installed.
 func (st *sessionState) emit(f Finding) {
 	f.Frame = st.frame
-	st.rep.Findings = append(st.rep.Findings, f)
+	if !st.live {
+		st.rep.Findings = append(st.rep.Findings, f)
+	}
 	if st.onFinding != nil {
 		st.onFinding(f)
 	}
 }
 
-// exposure records one plaintext link key sighting and raises its
-// finding immediately.
+// exposure records one plaintext link key sighting (unless live) and
+// raises its finding immediately.
 func (st *sessionState) exposure(source string, peer bt.BDADDR, key bt.LinkKey) {
-	st.rep.Exposures = append(st.rep.Exposures, KeyExposure{
-		Frame: st.frame, Source: source, Peer: peer, Key: key,
-	})
+	if !st.live {
+		st.rep.Exposures = append(st.rep.Exposures, KeyExposure{
+			Frame: st.frame, Source: source, Peer: peer, Key: key,
+		})
+	}
 	// Built by concatenation rather than fmt.Sprintf: exposures are the
 	// most common finding by far and this runs inside the hot ingest loop.
 	st.emit(Finding{
@@ -183,6 +201,45 @@ func (st *sessionState) exposure(source string, peer bt.BDADDR, key bt.LinkKey) 
 		Peer:   peer,
 		Detail: "frame " + strconv.Itoa(st.frame) + ": 128-bit link key in plaintext via " + source,
 	})
+}
+
+// liveSessions returns the sessions a future record can still reach:
+// the reducer finds sessions only through the handle and peer maps. A
+// filter over it compares pointers and never touches the sessions
+// themselves, which matters when the list is a full report's.
+func (st *sessionState) liveSessions() map[*Session]bool {
+	keep := make(map[*Session]bool, len(st.byHandle)+len(st.byPeer))
+	for _, s := range st.byHandle {
+		keep[s] = true
+	}
+	for _, s := range st.byPeer {
+		keep[s] = true
+	}
+	return keep
+}
+
+// trim bounds a live reducer's session list by its live set. Once the
+// list passes twice the larger lookup map plus 64, it is compacted in
+// place, in report order, to the sessions still reachable. The slack
+// keeps this amortized O(1) per session: when open sessions sit in both
+// maps, as they do unless a handle or peer is reused without a
+// disconnect, the list must grow by more than its compacted length
+// before the next compaction.
+func (st *sessionState) trim() {
+	ss := st.rep.Sessions
+	if !st.live || len(ss) <= 2*max(len(st.byHandle), len(st.byPeer))+64 {
+		return
+	}
+	keep := st.liveSessions()
+	n := 0
+	for _, s := range ss {
+		if keep[s] {
+			ss[n] = s
+			n++
+		}
+	}
+	clear(ss[n:])
+	st.rep.Sessions = ss[:n]
 }
 
 // checkPageBlocking raises the page-blocking finding the moment a
@@ -246,6 +303,7 @@ func (st *sessionState) apply(frame int, ts time.Time, msg any) {
 		st.byHandle[m.Handle] = s
 		st.byPeer[m.Addr] = s
 		rep.Sessions = append(rep.Sessions, s)
+		st.trim()
 	case *hci.IOCapabilityResponse:
 		if s := st.byPeer[m.Addr]; s != nil {
 			s.PeerIOCap = m.Capability
@@ -305,22 +363,26 @@ func (st *sessionState) apply(frame int, ts time.Time, msg any) {
 				delete(st.byPeer, s.Peer)
 			}
 			if st.authPending[s.Handle] && isTimeout(m.Reason) {
+				h := strconv.FormatUint(uint64(s.Handle), 16)
 				st.emit(Finding{
 					Kind: FindingStalledAuthTimeout,
 					Peer: s.Peer,
-					Detail: fmt.Sprintf(
-						"authentication on handle 0x%04x never completed; link dropped with %s — the trace a link key extraction stall leaves behind",
-						uint16(s.Handle), m.Reason),
+					Detail: "authentication on handle 0x" + "0000"[len(h):] + h +
+						" never completed; link dropped with " + m.Reason.String() +
+						" — the trace a link key extraction stall leaves behind",
 					Session: s,
 				})
 			}
 			delete(st.authPending, s.Handle)
+			st.trim()
 		}
 	}
 }
 
 // finish returns the report. Every finding has already been emitted by
 // apply — detection is fully incremental, so end-of-capture adds nothing.
+// A live reducer's report holds no exposures or findings, and only the
+// sessions trim has not yet dropped.
 func (st *sessionState) finish() *Report {
 	return st.rep
 }

@@ -105,8 +105,18 @@ func TestMetricsJSONSchema(t *testing.T) {
 	if _, err := pw.Write(capture); err != nil {
 		t.Fatal(err)
 	}
+	// Wait for the last detect observations, not only the records: the
+	// detector loop counts a batch's records before it observes the
+	// detect latencies of that batch's findings, aggregate first and then
+	// per stream, so a loaded run can see the records before those.
+	settled := func() bool {
+		snap := s.Snapshot()
+		return snap.Records >= 6400 && len(snap.Streams) == 1 &&
+			snap.DetectLatency.Count == uint64(wantFindings) &&
+			snap.Streams[0].DetectLatency.Count == uint64(wantFindings)
+	}
 	deadline := time.After(10 * time.Second)
-	for s.Snapshot().Records < 6400 {
+	for !settled() {
 		select {
 		case <-deadline:
 			t.Fatal("ingest never consumed the capture")

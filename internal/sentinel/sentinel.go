@@ -762,7 +762,7 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 		st.findings.Store(det.Findings())
 	} else {
 		sc = snoop.NewBatchScannerSize(r, ingestBlockBytes)
-		det = forensics.NewDetector()
+		det = forensics.NewLiveDetector()
 	}
 
 	start := Event{Type: EventStreamStart, Stream: st.id, Proto: st.proto, Label: st.label, Session: st.session}

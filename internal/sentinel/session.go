@@ -268,7 +268,7 @@ func (s *Server) routeSession(st *streamState, conn net.Conn) {
 		ckpt := ent.ckpt
 		s.sessMu.Unlock()
 
-		det := forensics.NewDetector()
+		det := forensics.NewLiveDetector()
 		if err := det.RestoreState(ckpt.State); err != nil {
 			s.sessMu.Lock()
 			s.dropSessionLocked(ent)

@@ -13,6 +13,11 @@ go test ./...
 go test -race ./...
 go test -run xxx -bench . -benchtime 1x .
 
+# Repository benchmark: drive every workload at a tiny size with its
+# correctness checks (live==batch findings, the store, the campaign
+# rows). bench/ is a module of its own, so the root go test skips it.
+(cd bench && go test ./...)
+
 # Capture analysis: smoke the synthetic capture generator and the
 # capture-scan benchmarks (baseline vs zero-copy batch path).
 go test -run xxx -bench 'BenchmarkForensicsScan|BenchmarkSynthesize' -benchtime 1x .
