@@ -49,21 +49,29 @@ func MustBDADDR(s string) BDADDR {
 	return a
 }
 
-// String renders the canonical colon-separated lowercase form. It fills
-// a fixed buffer from a hex table rather than calling fmt.Sprintf: every
-// live finding renders its peer, so this runs on the ingest hot path and
-// costs one allocation, the returned string.
-func (a BDADDR) String() string {
+// AppendText appends the canonical colon-separated lowercase form to b
+// (encoding.TextAppender). It fills the digits from a hex table rather
+// than calling fmt: the daemon's shard writers render every finding's
+// peer through it straight into their reused line buffers, so it
+// allocates nothing when b has room for the 17 bytes. The error is
+// always nil.
+func (a BDADDR) AppendText(b []byte) ([]byte, error) {
 	const hexDigits = "0123456789abcdef"
-	var b [17]byte
 	for i, v := range a {
 		if i > 0 {
-			b[3*i-1] = ':'
+			b = append(b, ':')
 		}
-		b[3*i] = hexDigits[v>>4]
-		b[3*i+1] = hexDigits[v&0x0f]
+		b = append(b, hexDigits[v>>4], hexDigits[v&0x0f])
 	}
-	return string(b[:])
+	return b, nil
+}
+
+// String renders the canonical colon-separated lowercase form, built on
+// AppendText over a stack buffer: one allocation, the returned string.
+func (a BDADDR) String() string {
+	var buf [17]byte
+	b, _ := a.AppendText(buf[:0])
+	return string(b)
 }
 
 // NAP returns the 16-bit non-significant address part (company id high).

@@ -72,6 +72,35 @@ func TestBDADDRLittleEndianRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBDADDRAppendText pins AppendText to String and to the fmt
+// rendering it replaced, on the zero address, all-0xff and random
+// addresses, and checks it appends after existing bytes without
+// allocating when the buffer has room.
+func TestBDADDRAppendText(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	addrs := []BDADDR{{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
+	for i := 0; i < 200; i++ {
+		var a BDADDR
+		rng.Read(a[:])
+		addrs = append(addrs, a)
+	}
+	for _, a := range addrs {
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+		got, err := a.AppendText([]byte("peer="))
+		if err != nil || string(got) != "peer="+want {
+			t.Fatalf("AppendText(%v) = %q, %v; want %q", [6]byte(a), got, err, "peer="+want)
+		}
+		if s := a.String(); s != want {
+			t.Fatalf("String(%v) = %q, want %q", [6]byte(a), s, want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	a := addrs[2]
+	if n := testing.AllocsPerRun(100, func() { buf, _ = a.AppendText(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendText into a large enough buffer allocates %.0f times", n)
+	}
+}
+
 func TestMustBDADDRPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -132,18 +132,66 @@ func ClassifyStreamError(err error) string {
 	}
 }
 
-// findingEvent renders one detector event for a stream.
-func findingEvent(id uint64, ev forensics.Event) Event {
-	return Event{
-		Type:      EventFinding,
-		Stream:    id,
-		Seq:       ev.Seq,
-		Frame:     ev.Frame,
-		Kind:      ev.Finding.Kind,
-		Peer:      ev.Finding.Peer.String(),
-		Detail:    ev.Finding.Detail,
-		CaptureTS: ev.Time.UTC().Format(time.RFC3339Nano),
+// findingBurst is a run of one stream's drained findings that share an
+// emission stamp: ts is the wall-clock instant in unix nanoseconds, 0
+// when timestamps are off. The detector goroutine hands it to the shard
+// writer and the persist goroutine as is and never touches the slice
+// again, so both read it without copying; each renders the findings'
+// JSONL lines with appendFinding.
+type findingBurst struct {
+	stream uint64
+	ts     int64
+	evs    []forensics.Event
+}
+
+// appendStamp appends the RFC3339Nano UTC rendering of the emission
+// stamp ts to b, or nothing when ts is 0 (timestamps off).
+func appendStamp(b []byte, ts int64) []byte {
+	if ts == 0 {
+		return b
 	}
+	return time.Unix(0, ts).UTC().AppendFormat(b, time.RFC3339Nano)
+}
+
+// appendFinding appends the JSON object of one finding of the given
+// stream to b: the bytes appendJSON produces for the finding Event with
+// Type, Stream, TS, Seq, Frame, Kind, Peer, Detail and CaptureTS set —
+// the same field order, omitempty rules and escaping — without building
+// that Event or its peer and capture-time strings. ts is the rendered
+// emission stamp (appendStamp), empty when timestamps are off. The
+// stamp, the peer and the capture time are written unescaped: RFC3339
+// in UTC and the colon-hex address use only characters JSON passes
+// through verbatim. TestAppendFindingMatchesEventJSON pins the identity.
+func appendFinding(b []byte, stream uint64, ts []byte, ev *forensics.Event) []byte {
+	b = append(b, `{"type":"finding","stream":`...)
+	b = strconv.AppendUint(b, stream, 10)
+	if len(ts) > 0 {
+		b = append(b, `,"ts":"`...)
+		b = append(b, ts...)
+		b = append(b, '"')
+	}
+	if ev.Seq != 0 {
+		b = append(b, `,"seq":`...)
+		b = strconv.AppendUint(b, ev.Seq, 10)
+	}
+	if ev.Frame != 0 {
+		b = append(b, `,"frame":`...)
+		b = strconv.AppendInt(b, int64(ev.Frame), 10)
+	}
+	if ev.Finding.Kind != "" {
+		b = append(b, `,"kind":`...)
+		b = appendJSONString(b, ev.Finding.Kind)
+	}
+	b = append(b, `,"peer":"`...)
+	b, _ = ev.Finding.Peer.AppendText(b)
+	b = append(b, '"')
+	if ev.Finding.Detail != "" {
+		b = append(b, `,"detail":`...)
+		b = appendJSONString(b, ev.Finding.Detail)
+	}
+	b = append(b, `,"capture_ts":"`...)
+	b = ev.Time.UTC().AppendFormat(b, time.RFC3339Nano)
+	return append(b, `"}`...)
 }
 
 // appendJSON appends the event's JSON object to b and returns the

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/forensics"
 	"repro/internal/hci"
 	"repro/internal/obs"
 )
@@ -82,8 +83,8 @@ type shardMetrics struct {
 	detect obs.Histogram
 	// Stage timers, observed once per batch: scan (byte wait + block
 	// decode), push (detector state machine), drain (finding
-	// collection), emit (event append + shard enqueue; timed whenever
-	// findings are emitted).
+	// collection), emit (handing the drained burst to the shard and
+	// persist queues; timed whenever findings are emitted).
 	stageScan  obs.Histogram
 	stagePush  obs.Histogram
 	stageDrain obs.Histogram
@@ -147,9 +148,12 @@ func (m *shardMetrics) addPacketTally(t packetTally) {
 	}
 }
 
-func (m *shardMetrics) countFinding(kind string) {
+// countFindings counts a drained burst by kind under one lock.
+func (m *shardMetrics) countFindings(evs []forensics.Event) {
 	m.mu.Lock()
-	m.findings[kind]++
+	for i := range evs {
+		m.findings[evs[i].Finding.Kind]++
+	}
 	m.mu.Unlock()
 }
 

@@ -89,12 +89,44 @@ func decodeCkptFrame(data []byte, d *ckptDoc) error {
 	return nil
 }
 
-// persistItem is one unit on a shard's persist queue: a stamped event
-// (ckpt nil) or a detector checkpoint document.
+// persistItem is one unit on a shard's persist queue: a drained finding
+// burst (burst.evs non-nil), a detector checkpoint document (ckpt
+// non-nil), or one other stamped event.
 type persistItem struct {
-	ev   Event
-	ts   int64
-	ckpt *ckptDoc
+	ev    Event
+	burst findingBurst
+	ts    int64
+	ckpt  *ckptDoc
+}
+
+// events is how many finding events of the persist queue's bound the
+// item holds: a burst its findings, another event one, a checkpoint
+// none.
+func (it *persistItem) events() int {
+	switch {
+	case it.ckpt != nil:
+		return 0
+	case it.burst.evs != nil:
+		return len(it.burst.evs)
+	}
+	return 1
+}
+
+// queuePersist places an event or burst item on the shard's persist
+// queue if the queue's bound of PersistBuffer finding events has room
+// for all of it, and otherwise counts its events as dropped. It never
+// blocks.
+func (sh *shard) queuePersist(it persistItem) {
+	n := int64(it.events())
+	if sh.persistQueued.Add(n) <= int64(sh.srv.cfg.PersistBuffer) {
+		select {
+		case sh.persist <- it:
+			return
+		default:
+		}
+	}
+	sh.persistQueued.Add(-n)
+	sh.m.persistDropped.Add(uint64(n))
 }
 
 // tryPersist places one item on the shard's persist queue. Non-blocking
@@ -150,45 +182,76 @@ func (s *Server) queueCheckpoint(st *streamState, det *forensics.Detector, off i
 }
 
 // persistLoop is a shard's persistence consumer: it drains the bounded
-// queue, append-encodes each event into a reused buffer (the same
-// encoder the JSONL writer uses, so the durable bytes equal the emitted
-// line), and appends to the store. Store errors count as drops — the
-// queue keeps draining, so one bad write never wedges the shard.
+// queue, append-encodes each event — or each finding of a burst —
+// into a reused buffer (the same encoders the JSONL writer uses, so the
+// durable bytes equal the emitted line), and appends to the store.
+// Store errors count as drops — the queue keeps draining, so one bad
+// write never wedges the shard.
 func (sh *shard) persistLoop() {
 	defer close(sh.pdone)
-	var buf []byte
+	var buf, ts []byte
 	for it := range sh.persist {
+		sh.persistQueued.Add(-int64(it.events()))
 		if hook := sh.srv.cfg.beforePersist; hook != nil {
 			hook(sh.idx)
 		}
-		if it.ckpt != nil {
+		switch {
+		case it.ckpt != nil:
 			sh.persistCkpt(it)
-			continue
+		case it.burst.evs != nil:
+			fb := &it.burst
+			ts = appendStamp(ts[:0], fb.ts)
+			for i := range fb.evs {
+				buf = appendFinding(buf[:0], fb.stream, ts, &fb.evs[i])
+				sh.persistEvent(SeriesFindings, fb.ts, fb.stream, buf)
+			}
+		default:
+			series := SeriesFindings
+			if it.ev.Type == EventStreamEnd {
+				series = SeriesEnds
+			}
+			buf = it.ev.appendJSON(buf[:0])
+			sh.persistEvent(series, it.ts, it.ev.Stream, buf)
 		}
-		series := SeriesFindings
-		if it.ev.Type == EventStreamEnd {
-			series = SeriesEnds
-		}
-		buf = it.ev.appendJSON(buf[:0])
-		if err := sh.srv.cfg.Store.Append(series, it.ts, it.ev.Stream, buf); err != nil {
-			sh.m.persistDropped.Add(1)
-			continue
-		}
-		sh.m.persistAppended.Add(1)
 	}
+}
+
+// persistEvent appends one rendered event line to the store and counts
+// the outcome.
+func (sh *shard) persistEvent(series string, ts int64, stream uint64, line []byte) {
+	if err := sh.srv.cfg.Store.Append(series, ts, stream, line); err != nil {
+		sh.m.persistDropped.Add(1)
+		return
+	}
+	sh.m.persistAppended.Add(1)
 }
 
 // persistCkpt makes one checkpoint durable and then announces it.
 // Checkpoints are deliberately outside the persistAppended/Dropped
 // event accounting — those counters mirror the JSONL event stream and
-// tests pin the exact correspondence. The announcement (a "checkpoint"
-// JSONL line) goes out only after the append AND an fsync of the
-// checkpoint series, so
-// the line on Output is a reliable kill-the-daemon-here marker: any
-// checkpoint an operator (or the crash drill in verify.sh) has seen is
-// guaranteed to survive a kill -9.
+// tests pin the exact correspondence.
+//
+// A checkpoint never gets ahead of the output. Before the append it
+// puts a flush token on the shard's event queue and waits until every
+// event queued before the checkpoint — every finding the detector
+// produced up to the checkpoint's offset — has been written to Output.
+// A restart resumes from the newest durable checkpoint and re-emits
+// only what follows it, so a checkpoint made durable while earlier
+// findings still sat in the queue or the writer's buffer would lose
+// those findings to a crash. If the flush misses the write deadline (a
+// wedged consumer) the checkpoint is skipped and the previous one stays
+// the resume point: the restart then replays more, losing nothing.
+//
+// The announcement (a "checkpoint" JSONL line) goes out only after the
+// append AND an fsync of the checkpoint series, so the line on Output
+// is a reliable kill-the-daemon-here marker: any checkpoint an operator
+// (or the crash drill in verify.sh) has seen is guaranteed to survive
+// a kill -9, and so is every finding line before it.
 func (sh *shard) persistCkpt(it persistItem) {
 	d := it.ckpt
+	if !sh.srv.flushEvents(sh) {
+		return
+	}
 	doc, err := encodeCkptFrame(d)
 	if err != nil {
 		return

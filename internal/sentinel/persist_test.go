@@ -54,12 +54,24 @@ func queryAll(t *testing.T, store *tsdb.Store, series string) []tsdb.Frame {
 // check: every finding and stream-end line the daemon emits must be in
 // the store byte-for-byte (same encoder, same stamped event), keyed by
 // its stream id, with a frame timestamp that matches the line's ts
-// field.
+// field. It runs on a sparse capture and on a dense one, a finding
+// every ~10 records, whose bursts cross the queues in many chunks.
 func TestPersistedEventsMatchLiveJSONL(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		capture []byte
+	}{
+		{"sparse", synthCapture(t, 6400, 42)},
+		{"dense", synthDense(t, 40000, 42)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkPersistedMatchesLive(t, tc.capture) })
+	}
+}
+
+func checkPersistedMatchesLive(t *testing.T, capture []byte) {
 	store := openTestStore(t)
 	var out syncBuffer
 	s := New(Config{Output: &out, Store: store, MetricsEvery: -1})
-	capture := synthCapture(t, 6400, 42)
 	sum := s.Ingest("test", "persist", bytes.NewReader(capture))
 	if sum.Findings == 0 {
 		t.Fatal("fixture produced no findings")
@@ -70,8 +82,8 @@ func TestPersistedEventsMatchLiveJSONL(t *testing.T) {
 	wantEnds := filterLines(out.Lines(), `"type":"stream-end"`)
 	gotFindings := queryAll(t, store, SeriesFindings)
 	gotEnds := queryAll(t, store, SeriesEnds)
-	if len(gotFindings) != len(wantFindings) || len(wantFindings) == 0 {
-		t.Fatalf("persisted %d findings, emitted %d", len(gotFindings), len(wantFindings))
+	if len(gotFindings) != len(wantFindings) || uint64(len(wantFindings)) != sum.Findings {
+		t.Fatalf("persisted %d findings, emitted %d, detector found %d", len(gotFindings), len(wantFindings), sum.Findings)
 	}
 	if len(gotEnds) != len(wantEnds) || len(wantEnds) != 1 {
 		t.Fatalf("persisted %d ends, emitted %d", len(gotEnds), len(wantEnds))

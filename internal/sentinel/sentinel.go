@@ -96,8 +96,12 @@ type Config struct {
 	// wedged consumer. Default 5s; <0 blocks forever (the pre-deadline
 	// backpressure behavior).
 	WriteTimeout time.Duration
-	// EventBuffer is the bounded event queue capacity per shard between
-	// ingestion and that shard's writer goroutine. Default 256.
+	// EventBuffer bounds how many finding events each shard's queue
+	// between ingestion and that shard's writer goroutine can hold.
+	// Findings travel as chunks of a drained burst, one queue item per
+	// chunk, and the chunk size and queue length are derived from this
+	// bound so the queue never holds more finding events than it says.
+	// Default 256.
 	EventBuffer int
 	// Shards is the number of event/metrics shards. Streams are pinned
 	// to shards by a hash of their stream id; each shard has its own
@@ -120,8 +124,9 @@ type Config struct {
 	// never blocked ingestion. The Server does not Close the store —
 	// its owner does, after Shutdown.
 	Store *tsdb.Store
-	// PersistBuffer is the bounded persist queue capacity per shard
-	// between the event path and that shard's persist goroutine.
+	// PersistBuffer bounds how many finding events each shard's persist
+	// queue between the event path and that shard's persist goroutine
+	// can hold; like EventBuffer it counts events, not queue items.
 	// Default 8192 — deep enough to absorb the finding burst batch
 	// ingest can emit within a single scheduler quantum on a busy
 	// one-core box (thousands of findings at >20M records/sec) while
@@ -331,13 +336,23 @@ type Server struct {
 	writeErrOnce sync.Once
 }
 
-// shardItem is one unit on a shard's event queue: an event to encode,
-// or a flush token (flush non-nil) the writer closes once every event
-// queued before it has been flushed to the output.
+// shardItem is one unit on a shard's event queue: a chunk of a finding
+// burst (burst.evs non-nil), one other event to encode, or a flush
+// token (flush non-nil) the writer closes once every event queued
+// before it has been flushed to the output.
 type shardItem struct {
 	ev    Event
+	burst findingBurst
 	flush chan struct{}
 }
+
+// eventQueueChunks is how many burst chunks a shard's event queue
+// holds. A burst crosses it as chunks of at most EventBuffer/16
+// findings, one item each, and the queue holds EventBuffer/chunk
+// items, so it never holds more than EventBuffer finding events however
+// full its chunks are, and a dense burst costs one send per chunk, not
+// per finding.
+const eventQueueChunks = 16
 
 // shardFlushBytes caps how much a shard writer batches into its reused
 // encode buffer before flushing mid-drain, bounding both buffer growth
@@ -354,14 +369,22 @@ type shard struct {
 	events chan shardItem
 	done   chan struct{} // closed when the writer goroutine exits
 	buf    []byte        // writer-owned; reused across batches
+	ts     []byte        // writer-owned; the current burst's rendered stamp
 	m      shardMetrics
+
+	// eventChunk is the largest finding chunk the events queue takes.
+	eventChunk int
 
 	// persist is the shard's bounded queue to its persist goroutine
 	// (nil without a store). Same MPSC discipline as events, but the
 	// overflow policy is an immediate counted drop — durability is
-	// best-effort by design; ingestion never waits on a disk.
-	persist chan persistItem
-	pdone   chan struct{} // closed when the persist goroutine exits
+	// best-effort by design; ingestion never waits on a disk. Its bound
+	// is persistQueued, the finding events in it (queuePersist), so a
+	// burst takes one item whatever its size and a run of one-finding
+	// bursts still has all PersistBuffer slots.
+	persist       chan persistItem
+	persistQueued atomic.Int64
+	pdone         chan struct{} // closed when the persist goroutine exits
 }
 
 // New returns an unstarted Server. The shard writer goroutines run from
@@ -378,12 +401,9 @@ func New(cfg Config) *Server {
 		shards:   make([]*shard, cfg.Shards),
 	}
 	for i := range s.shards {
-		sh := &shard{
-			srv:    s,
-			idx:    i,
-			events: make(chan shardItem, cfg.EventBuffer),
-			done:   make(chan struct{}),
-		}
+		sh := &shard{srv: s, idx: i, done: make(chan struct{})}
+		sh.eventChunk = max(1, cfg.EventBuffer/eventQueueChunks)
+		sh.events = make(chan shardItem, cfg.EventBuffer/sh.eventChunk)
 		sh.m.init()
 		s.shards[i] = sh
 		go sh.writeLoop()
@@ -422,21 +442,25 @@ func (s *Server) shardFor(id uint64) *shard {
 }
 
 // writeLoop is a shard's single consumer: it drains the queue greedily,
-// append-encoding each event into the reused buffer, and flushes the
-// whole buffer to the shared output under one short-held lock — once
-// per drained batch (or per shardFlushBytes during a burst), not once
-// per event. It exits when Shutdown closes the queue.
+// append-encoding each event — or each finding of a burst chunk — into
+// the reused buffer, and flushes the whole buffer to the shared output
+// under one short-held lock — once per drained batch (or per
+// shardFlushBytes during a burst), not once per event. It exits when
+// Shutdown closes the queue.
 func (sh *shard) writeLoop() {
 	defer close(sh.done)
 	for it := range sh.events {
 	drain:
 		for {
-			if it.flush != nil {
+			switch {
+			case it.flush != nil:
 				// Everything queued before the token is in the buffer;
 				// flush so the waiter observes its lines on the output.
 				sh.flushBuf()
 				close(it.flush)
-			} else {
+			case it.burst.evs != nil:
+				sh.writeBurst(&it.burst)
+			default:
 				sh.buf = it.ev.appendJSON(sh.buf)
 				sh.buf = append(sh.buf, '\n')
 				sh.m.events.Add(1)
@@ -458,6 +482,20 @@ func (sh *shard) writeLoop() {
 		sh.flushBuf()
 	}
 	sh.flushBuf()
+}
+
+// writeBurst renders one burst chunk into the buffer, one JSONL line
+// per finding, with the stamp formatted once for the chunk.
+func (sh *shard) writeBurst(fb *findingBurst) {
+	sh.m.events.Add(uint64(len(fb.evs)))
+	sh.ts = appendStamp(sh.ts[:0], fb.ts)
+	for i := range fb.evs {
+		sh.buf = appendFinding(sh.buf, fb.stream, sh.ts, &fb.evs[i])
+		sh.buf = append(sh.buf, '\n')
+		if len(sh.buf) >= shardFlushBytes {
+			sh.flushBuf()
+		}
+	}
 }
 
 // flushBuf writes the shard's buffered lines to the shared output and
@@ -745,10 +783,10 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 	// batches and fewer ring handoffs per captured megabyte.
 	var sc *snoop.BatchScanner
 	var det *forensics.Detector
-	var prevOff int64   // last batch offset the detector consumed
-	var prevFrames int  // last batch frame count the detector consumed
-	var ckptSeq uint64  // last checkpoint sequence written for this session
-	var lastCkpt int64  // capture offset of the last checkpoint
+	var prevOff int64  // last batch offset the detector consumed
+	var prevFrames int // last batch frame count the detector consumed
+	var ckptSeq uint64 // last checkpoint sequence written for this session
+	var lastCkpt int64 // capture offset of the last checkpoint
 	if res != nil {
 		// Resuming a checkpoint: the scanner starts mid-capture at the
 		// snapshot position, the detector already holds the state, and the
@@ -856,12 +894,7 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 				// Drain defensively first (SnapshotState requires it) and emit
 				// anything that surfaces so no finding is ever lost to a park.
 				if evs := det.Drain(); len(evs) > 0 {
-					ts, tss := s.stamp()
-					for _, ev := range evs {
-						st.findings.Add(1)
-						sm.countFinding(ev.Finding.Kind)
-						s.emitStamped(st, findingEvent(st.id, ev), ts, tss)
-					}
+					s.emitFindings(st, evs)
 				}
 				s.queueCheckpoint(st, det, it.off, it.frames, it.datalink, &ckptSeq, true)
 				lastCkpt = it.off
@@ -886,16 +919,7 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 			tDrain := time.Now()
 			sm.stageDrain.Observe(tDrain.Sub(tPush))
 			if len(evs) > 0 {
-				// One wall-clock read and one RFC3339Nano format for the whole
-				// drained burst: findings surfaced by the same batch share an
-				// emission instant, and per-event formatting is measurable at
-				// block-scan throughput (thousands of findings per quantum).
-				ts, tss := s.stamp()
-				for _, ev := range evs {
-					st.findings.Add(1)
-					sm.countFinding(ev.Finding.Kind)
-					s.emitStamped(st, findingEvent(st.id, ev), ts, tss)
-				}
+				s.emitFindings(st, evs)
 				tEnd := time.Now()
 				sm.stageEmit.Observe(tEnd.Sub(tDrain))
 				// Detection latency: the completing batch was scanned at
@@ -1031,7 +1055,7 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 // status, drop the session entry, unregister, and release the slot. The
 // loser (a wedged pipeline that eventually unwedges, or a finale racing
 // the watchdog) skips everything — its late events are dropped by the
-// dead-stream guard in emitStamped.
+// dead-stream guard in emit and emitFindings.
 func (s *Server) finalize(st *streamState, sum *StreamSummary, end Event) bool {
 	if !st.finalized.CompareAndSwap(false, true) {
 		return false
@@ -1069,7 +1093,7 @@ func (s *Server) finalize(st *streamState, sum *StreamSummary, end Event) bool {
 // deadline. st (nil for rejection events, which are pinned by event
 // stream id) receives the per-stream dropped count when the deadline
 // expires. The event itself is encoded by the shard writer, off the
-// ingest hot path.
+// ingest hot path. Drained findings take emitFindings instead.
 //
 // When timestamps are on (explicitly, or implied by a store) the event
 // is stamped here — once, so the JSONL line and the persisted frame
@@ -1078,34 +1102,14 @@ func (s *Server) finalize(st *streamState, sum *StreamSummary, end Event) bool {
 // counted drop, never a stall (the JSONL line still goes out — the
 // durable copy is the best-effort one).
 func (s *Server) emit(st *streamState, ev Event) {
-	ts, tss := s.stamp()
-	s.emitStamped(st, ev, ts, tss)
-}
-
-// stamp reads the wall clock once and returns the frame timestamp and
-// its RFC3339Nano rendering, or zero values when timestamps are off.
-// Formatting is the expensive half (~0.5µs plus an allocation), so the
-// ingest drain loop calls this once per finding batch and shares the
-// string across the burst rather than paying it per event.
-func (s *Server) stamp() (int64, string) {
-	if !s.cfg.Timestamps && s.cfg.Store == nil {
-		return 0, ""
-	}
-	now := time.Now()
-	return now.UnixNano(), now.UTC().Format(time.RFC3339Nano)
-}
-
-// emitStamped is emit with the timestamp pair already computed; ts and
-// tss must come from the same stamp() call so the JSONL line and the
-// persisted frame carry the same instant.
-func (s *Server) emitStamped(st *streamState, ev Event, ts int64, tss string) {
 	// A finalized stream's abandoned goroutines (wedged detector that
 	// later unwedges) may still try to emit; everything but the end line
 	// the finalizer itself wrote is dropped silently.
 	if st != nil && st.dead.Load() && ev.Type != EventStreamEnd {
 		return
 	}
-	ev.TS = tss
+	ts := s.stamp()
+	ev.TS = string(appendStamp(nil, ts))
 	sh := s.shardFor(ev.Stream)
 	if st != nil {
 		sh = st.sh
@@ -1117,12 +1121,62 @@ func (s *Server) emitStamped(st *streamState, ev Event, ts int64, tss string) {
 		}
 	}
 	if sh.persist != nil && (ev.Type == EventFinding || ev.Type == EventStreamEnd) {
-		select {
-		case sh.persist <- persistItem{ev: ev, ts: ts}:
-		default:
-			sh.m.persistDropped.Add(1)
+		sh.queuePersist(persistItem{ev: ev, ts: ts})
+	}
+}
+
+// emitFindings is the one emit path for findings: it hands a burst
+// drained from st's detector to st's shard. The counters move once per
+// burst; the findings themselves cross to the shard writer, as chunks
+// of the drained slice, and to the persist goroutine, as one item, and
+// are rendered there — the detector never touches the slice again and
+// builds no Event and formats no string. A chunk that misses the write
+// deadline counts one drop per finding in it; so does each finding the
+// persist queue has no room for. All findings of the burst share one
+// emission stamp.
+func (s *Server) emitFindings(st *streamState, evs []forensics.Event) {
+	sh := st.sh
+	st.findings.Add(uint64(len(evs)))
+	sh.m.countFindings(evs)
+	// The dead-stream guard, as in emit.
+	if st.dead.Load() {
+		return
+	}
+	fb := findingBurst{stream: st.id, ts: s.stamp()}
+	for rest := evs; len(rest) > 0; {
+		n := min(len(rest), sh.eventChunk)
+		fb.evs, rest = rest[:n:n], rest[n:]
+		if !sh.enqueue(shardItem{burst: fb}) {
+			sh.m.eventsDropped.Add(uint64(n))
+			st.dropped.Add(uint64(n))
 		}
 	}
+	if sh.persist == nil {
+		return
+	}
+	// The persist queue takes the findings it has room for, in order,
+	// as one item; the rest drop, as they would one at a time.
+	room := max(0, s.cfg.PersistBuffer-int(sh.persistQueued.Load()))
+	if n := min(len(evs), room); n > 0 {
+		fb.evs = evs[:n:n]
+		sh.queuePersist(persistItem{burst: fb})
+	}
+	if len(evs) > room {
+		sh.m.persistDropped.Add(uint64(len(evs) - room))
+	}
+}
+
+// stamp reads the wall clock once and returns it as unix nanoseconds,
+// or 0 when timestamps are off. Rendering is left to the consumers:
+// the shard writer and the persist goroutine format a finding burst's
+// stamp once per chunk with appendStamp, so the detector goroutine
+// never formats a time; a JSONL line and its persisted frame render
+// the same instant.
+func (s *Server) stamp() int64 {
+	if !s.cfg.Timestamps && s.cfg.Store == nil {
+		return 0
+	}
+	return time.Now().UnixNano()
 }
 
 // flushEvents waits (bounded by WriteTimeout) until every event queued

@@ -64,6 +64,17 @@ func synthCapture(t testing.TB, records int, seed int64) []byte {
 	return buf.Bytes()
 }
 
+// synthDense synthesizes the dense capture shape: a new session every 8
+// records, so findings arrive about every 10 records, in bursts.
+func synthDense(t testing.TB, records int, seed int64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := snoop.Synthesize(&buf, snoop.SynthConfig{Records: records, Seed: seed, SessionEvery: 8}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s := New(cfg)

@@ -349,6 +349,139 @@ func TestKillRestartRecovery(t *testing.T) {
 	}
 }
 
+// stallWriter is an event consumer that dies mid-run: it records writes
+// until stalled, then blocks every write until released and records
+// nothing more — the JSONL output of a daemon killed at the stall.
+type stallWriter struct {
+	syncBuffer
+	stalled atomic.Bool
+	release chan struct{}
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	if w.stalled.Load() {
+		<-w.release
+		return len(p), nil
+	}
+	return w.syncBuffer.Write(p)
+}
+
+// TestCheckpointNeverAheadOfOutput is the kill-9 drill with the crash
+// placed where a checkpoint can get ahead of the JSONL output. The
+// output dies after the first checkpoint line; the capture's remaining
+// two thirds, with hundreds of findings, still stream in, so more
+// checkpoints and the stream's tombstone reach the persist goroutine
+// while their findings can no longer reach the output. The server is
+// then abandoned, a second one recovers the session from the store and
+// the client resumes it. The findings on the two outputs together must
+// be exactly those of an uninterrupted run: a checkpoint (or tombstone)
+// made durable before the findings it covers were written would skip
+// them on resume.
+func TestCheckpointNeverAheadOfOutput(t *testing.T) {
+	store, err := tsdb.Open(tsdb.Options{Dir: t.TempDir(), CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	capture := synthDense(t, 6000, 13)
+
+	w := &stallWriter{release: make(chan struct{})}
+	s1 := New(Config{
+		UnixAddr:        filepath.Join(t.TempDir(), "s1.sock"),
+		Shards:          1,
+		ResumeGrace:     time.Hour,
+		CheckpointEvery: 32 << 10,
+		Store:           store,
+		MetricsEvery:    -1,
+		Output:          w,
+		WriteTimeout:    50 * time.Millisecond,
+		EventBuffer:     1 << 14,
+	})
+	if err := s1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The abandoned server is reaped only after the second one is done
+	// with the store.
+	defer func() {
+		close(w.release)
+		shutdown(t, s1)
+	}()
+
+	conn, hello, err := DialSession("unix", s1.UnixAddr(), "stall-sess", "", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cut := int64(len(capture) / 3)
+	if _, err := WriteSessionChunks(conn, bytes.NewReader(capture[:cut])); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a checkpoint line on the output", func() bool {
+		return bytes.Contains(w.Lines(), []byte(`"type":"checkpoint"`))
+	})
+	w.stalled.Store(true)
+	sendSession(t, conn, capture, cut)
+	// The stream-end frame is persisted after the stream's last
+	// checkpoint and its tombstone (one FIFO queue): once it is in the
+	// store, every checkpoint is durable or skipped. Abandon s1 there.
+	waitFor(t, "the stream-end frame in the store", func() bool {
+		return len(queryAll(t, store, SeriesEnds)) > 0
+	})
+
+	out2 := &syncBuffer{}
+	ends := make(chan StreamSummary, 1)
+	s2 := New(Config{
+		UnixAddr:     filepath.Join(t.TempDir(), "s2.sock"),
+		ResumeGrace:  time.Hour,
+		Store:        store,
+		MetricsEvery: -1,
+		Output:       out2,
+		OnStreamEnd:  func(sum StreamSummary) { ends <- sum },
+	})
+	if err := s2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s2)
+	if n, err := s2.RecoverSessions(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sessions (%v), want 1: the stream's tombstone became durable before its findings reached the output", n, err)
+	}
+	conn2, hello2, err := DialSession("unix", s2.UnixAddr(), "stall-sess", "", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	if hello2.Offset <= 0 || hello2.Offset > cut {
+		t.Fatalf("resume offset %d, want the last checkpoint before the stall, inside (0, %d]", hello2.Offset, cut)
+	}
+	sendSession(t, conn2, capture, hello2.Offset)
+	select {
+	case sum := <-ends:
+		if sum.Status != StatusClean {
+			t.Fatalf("resumed stream ended %q (%v)", sum.Status, sum.Err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("resumed stream never ended")
+	}
+
+	baseOut := &syncBuffer{}
+	sb := New(Config{Output: baseOut})
+	bsum := sb.Ingest("test", "baseline", bytes.NewReader(capture))
+	shutdown(t, sb)
+	base := findingKeys(t, baseOut.Lines(), bsum.ID)
+	union := map[string]bool{}
+	for _, k := range append(findingKeys(t, w.Lines(), hello.Stream), findingKeys(t, out2.Lines(), hello.Stream)...) {
+		union[k] = true
+	}
+	if len(union) != len(base) {
+		t.Fatalf("the two outputs hold %d distinct findings, an uninterrupted run %d", len(union), len(base))
+	}
+	for _, k := range base {
+		if !union[k] {
+			t.Fatalf("finding lost across the crash: %s", k)
+		}
+	}
+}
+
 // findingKeys extracts one stream's finding lines normalized for
 // cross-run comparison (stream id and ts zeroed — store-backed runs
 // stamp wall clocks, the baseline does not).

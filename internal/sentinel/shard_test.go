@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -365,6 +366,90 @@ func TestSnapshotFoldsShardCounters(t *testing.T) {
 	if snap.StreamsTotal != 8 || snap.Records == 0 {
 		t.Fatalf("fixture totals wrong: %+v", snap)
 	}
+}
+
+// TestQueuesHoldAtMostTheirEventBound pins what EventBuffer and
+// PersistBuffer mean now that findings cross the queues as burst
+// chunks: a bound on finding events, not on queue items. It wedges a
+// shard's writer (then its persist goroutine) during a dense ingest,
+// counts what the stalled queue accepted, and requires that to fit the
+// bound; with the writer released, every finding must be accounted as
+// a written line or a counted drop.
+func TestQueuesHoldAtMostTheirEventBound(t *testing.T) {
+	// Every configured event bound: chunk x items never exceeds it.
+	for _, n := range []int{1, 2, 3, 15, 16, 17, 255, 256, 257, 1000, 8192, 8193} {
+		s := New(Config{Shards: 1, EventBuffer: n})
+		sh := s.shards[0]
+		if got := cap(sh.events) * sh.eventChunk; got > n || got == 0 {
+			t.Errorf("EventBuffer %d: event queue holds up to %d finding events", n, got)
+		}
+		shutdown(t, s)
+	}
+
+	// Each subtest first wedges the consumer on a lone event emitted
+	// ahead of the stream, so the stream's every event meets a stalled
+	// queue.
+	t.Run("events", func(t *testing.T) {
+		const bound = 64
+		capture := synthDense(t, 4000, 11)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		var out syncBuffer
+		s := New(Config{
+			Shards: 1, EventBuffer: bound, WriteTimeout: 5 * time.Millisecond, Output: &out,
+			beforeFlush: func(int) { once.Do(func() { close(entered); <-release }) },
+		})
+		s.emit(nil, Event{Type: EventStreamRejected, Stream: 1 << 40})
+		<-entered
+		sum := s.Ingest("test", "wedged", bytes.NewReader(capture))
+		if sum.Findings < 4*bound {
+			t.Fatalf("fixture too sparse: %d findings", sum.Findings)
+		}
+		lines := int(sum.Findings) + 2 // and the stream-start and stream-end
+		if accepted := lines - int(sum.EventsDropped); accepted > bound {
+			t.Fatalf("wedged event queue accepted %d events, bound %d", accepted, bound)
+		}
+		close(release)
+		shutdown(t, s)
+		written := len(filterLines(out.Lines(), `"stream":`)) - 1
+		if snap := s.Snapshot(); uint64(written+1) != snap.EventsEmitted || snap.EventsDropped != sum.EventsDropped {
+			t.Fatalf("%d lines written, snapshot emitted %d dropped %d, stream dropped %d",
+				written, snap.EventsEmitted, snap.EventsDropped, sum.EventsDropped)
+		}
+		if written+int(sum.EventsDropped) != lines {
+			t.Fatalf("%d lines written + %d dropped != %d events", written, sum.EventsDropped, lines)
+		}
+	})
+
+	t.Run("persist", func(t *testing.T) {
+		const bound = 512
+		capture := synthDense(t, 16000, 11)
+		store := openTestStore(t)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		s := New(Config{
+			Shards: 1, PersistBuffer: bound, Store: store, MetricsEvery: -1,
+			beforePersist: func(int) { once.Do(func() { close(entered); <-release }) },
+		})
+		s.emit(nil, Event{Type: EventFinding, Stream: 1 << 40, Seq: 1, Kind: "k"})
+		<-entered
+		sum := s.Ingest("test", "wedged", bytes.NewReader(capture))
+		if sum.Findings < 2*bound {
+			t.Fatalf("fixture too sparse: %d findings", sum.Findings)
+		}
+		events := int(sum.Findings) + 1 // and the stream-end
+		accepted := events - int(s.Snapshot().Persist.Dropped)
+		if accepted > bound {
+			t.Fatalf("wedged persist queue accepted %d events, bound %d", accepted, bound)
+		}
+		close(release)
+		shutdown(t, s)
+		stored := len(queryAll(t, store, SeriesFindings)) + len(queryAll(t, store, SeriesEnds)) - 1
+		snap := s.Snapshot()
+		if stored != accepted || uint64(stored+1) != snap.Persist.Appended {
+			t.Fatalf("stored %d of %d events, %d accepted; persist accounting %+v", stored, events, accepted, snap.Persist)
+		}
+	})
 }
 
 func shutdown(t *testing.T, s *Server) {

@@ -26,6 +26,11 @@ go test -run xxx -bench 'BenchmarkForensicsScan|BenchmarkSynthesize' -benchtime 
 # ECDH (both sides, through the pair memo), f1, g, f2 and f3.
 go test -run xxx -bench BenchmarkSSPPairing -benchtime 1x ./internal/btcrypto
 
+# Dense live ingest: smoke one in-process Ingest of a 200k-record
+# capture with a finding about every 10 records; the benchmark fails if
+# the live finding count differs from AnalyzeBytes or anything drops.
+go test -run xxx -bench BenchmarkIngestDense -benchtime 1x ./internal/sentinel
+
 if [ -n "${BENCH_JSON:-}" ]; then
     go run ./cmd/benchtables -benchjson "$BENCH_JSON"
     go run ./cmd/benchtables -checkjson "$BENCH_JSON"
@@ -178,8 +183,11 @@ wait_addr "$res_dir/crash1.err"
 "$res_dir/blapd" -send "$res_dir/cap.btsnoop" -tcp "$addr" -session s9 2> "$res_dir/send1.err" &
 send_pid=$!
 i=0
+# Poll every 10 ms: on a 2-CPU host the daemon ingests the whole capture
+# in well under 100 ms, so a coarser poll can land the kill after the
+# stream ended and the send returned 0 instead of the partial-send 4.
 until grep -q '"type":"checkpoint"' "$res_dir/crash1.jsonl"; do
-    i=$((i+1)); [ "$i" -lt 200 ]; sleep 0.05
+    i=$((i+1)); [ "$i" -lt 1000 ]; sleep 0.01
 done
 kill -9 "$crash_pid"
 rc=0
