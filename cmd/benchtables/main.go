@@ -6,43 +6,25 @@
 //	benchtables -figs
 //	benchtables -ablations
 //	benchtables -workers 8 -table2          # parallel campaign, same rows
-//	benchtables -benchjson BENCH_pr2.json   # baseline-vs-optimized timings
-//	benchtables -checkjson BENCH_pr2.json   # validate a bench JSON file
 //
 // The -workers flag sets the campaign engine's worker count for every
 // sweep (0 = GOMAXPROCS). Results are bit-identical at any worker count;
-// see internal/campaign.
+// see internal/campaign. The committed BENCH_pr*.json files are frozen
+// history; current performance numbers come from bash bench/run.sh, and
+// the campaign acceptance rules are go test ./internal/eval.
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"reflect"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/bt"
-	"repro/internal/btcrypto"
 	"repro/internal/campaign"
-	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/forensics"
-	"repro/internal/hci"
-	"repro/internal/host"
-	"repro/internal/radio"
 	"repro/internal/sentinel"
-	"repro/internal/sim"
 	"repro/internal/snoop"
-	"repro/internal/tsdb"
 )
 
 func main() {
@@ -58,16 +40,11 @@ func main() {
 		attacks     = flag.Bool("attacks", false, "run the cross-attack matrix (related-attack library)")
 		workers     = flag.Int("workers", 0, "campaign workers (0 = GOMAXPROCS)")
 		progress    = flag.Bool("progress", false, "report live campaign progress (trials/sec, retries, ETA) on stderr")
-		benchjson   = flag.String("benchjson", "", "write baseline-vs-optimized bench timings to this JSON file")
-		checkjson   = flag.String("checkjson", "", "validate a previously written bench JSON file and exit")
-		baseline    = flag.String("baseline", "", "with -checkjson: older bench JSON; without -minspeedup, sentinel_ingest_1m throughput must be within 5%")
-		minspeedup  = flag.Float64("minspeedup", 0, "with -checkjson -baseline: require sentinel_ingest_1m and forensics_scan_1m optimized throughput >= this multiple of the baseline's, with allocs/record no worse")
 		synth       = flag.String("synth", "", "write a synthetic btsnoop capture (for pipeline smoke tests) to this path and exit")
 		synthN      = flag.Int("synthrecords", 1_000_000, "with -synth: capture size in records")
 		tsdbsmoke   = flag.String("tsdbsmoke", "", "deterministic tsdb store smoke: append 1M findings into a store at this directory, compact, query, print counts and digests, exit")
 		chaos       = flag.Bool("chaos", false, "full-sweep transport-chaos differential: cut the session transport at every byte offset of a small synthetic capture, resume, and require findings byte-identical to an uninterrupted run")
 		chaosN      = flag.Int("chaosrecords", 250, "with -chaos: capture size in records (every byte offset of it is a trial)")
-		checkmulti  = flag.Bool("checkmulti", false, "with -checkjson -baseline: also require sentinel_ingest_multi throughput >= 95% of the baseline's")
 	)
 	flag.Parse()
 
@@ -117,19 +94,6 @@ func main() {
 		return
 	}
 
-	if *checkjson != "" {
-		if err := checkBenchJSON(*checkjson); err != nil {
-			fail(err)
-		}
-		if *baseline != "" {
-			if err := checkAgainstBaseline(*checkjson, *baseline, *minspeedup, *checkmulti); err != nil {
-				fail(err)
-			}
-		}
-		fmt.Println(*checkjson, "ok")
-		return
-	}
-
 	if *progress {
 		// One sink spans every sweep this invocation runs; the engine
 		// guarantees the rows are identical with or without it.
@@ -137,16 +101,6 @@ func main() {
 		eval.SetProgress(p)
 		stop := p.Report(os.Stderr, 500*time.Millisecond)
 		defer stop()
-	}
-
-	if *benchjson != "" {
-		if err := writeBenchJSON(*benchjson, *seed); err != nil {
-			fail(err)
-		}
-		fmt.Println("wrote", *benchjson)
-		if !*table1 && !*table2 && !*figs && !*ablations && !*mitigations && !*degraded && !*attacks {
-			return
-		}
 	}
 
 	all := !*table1 && !*table2 && !*figs && !*ablations && !*mitigations && !*degraded && !*attacks
@@ -277,978 +231,4 @@ func main() {
 		}
 		fmt.Println(eval.RenderAttackMatrix(rows))
 	}
-}
-
-// benchEntry is one baseline-vs-optimized timing comparison. The
-// records/allocation fields are populated only by the capture-scan
-// entries, where allocation behavior is the point of the comparison.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	Baseline    string  `json:"baseline"`
-	Optimized   string  `json:"optimized"`
-	BaselineNs  int64   `json:"baseline_ns"`
-	OptimizedNs int64   `json:"optimized_ns"`
-	Speedup     float64 `json:"speedup"`
-
-	Records            int     `json:"records,omitempty"`
-	Streams            int     `json:"streams,omitempty"`
-	CaptureBytes       int64   `json:"capture_bytes,omitempty"`
-	BaselineAllocs     uint64  `json:"baseline_allocs,omitempty"`
-	OptimizedAllocs    uint64  `json:"optimized_allocs,omitempty"`
-	AllocReduction     float64 `json:"alloc_reduction,omitempty"`
-	BaselineRecPerSec  float64 `json:"baseline_records_per_sec,omitempty"`
-	OptimizedRecPerSec float64 `json:"optimized_records_per_sec,omitempty"`
-	// AllocsPerRecord is the optimized path's heap allocations per
-	// record — the number the batch pipeline's slab/ring design exists
-	// to hold down. Baseline comparisons (-minspeedup) require it not
-	// to regress when both artifacts carry it.
-	AllocsPerRecord  float64 `json:"allocs_per_record,omitempty"`
-	OutputsIdentical bool    `json:"outputs_identical,omitempty"`
-}
-
-type benchReport struct {
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Workers    int          `json:"workers"`
-	Note       string       `json:"note"`
-	Results    []benchEntry `json:"results"`
-	// DegradedSweep carries the degraded-channel evaluation rows (PR 4):
-	// attack and legitimate-traffic outcomes per loss setting.
-	DegradedSweep []eval.DegradedRow `json:"degraded_sweep,omitempty"`
-	// AttackMatrix carries the cross-attack evaluation rows (PR 10):
-	// success rate and detection latency per related-library attack under
-	// clean and degraded channels.
-	AttackMatrix []eval.AttackRow `json:"attack_matrix,omitempty"`
-}
-
-// writeBenchJSON times the serial path against the parallel campaign (and
-// the one-shot SAFER+ against the precomputed context) and writes the
-// comparison as JSON. On a single-core machine the parallel numbers show
-// only the scheduling overhead; the determinism tests guarantee the rows
-// themselves are identical either way.
-func writeBenchJSON(path string, seed int64) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		// Still exercise the pool path (overhead-only on one core).
-		workers = 2
-	}
-	report := benchReport{
-		// Record the real core count, not the min-2 worker clamp: the
-		// baseline gates use it to decide whether parallel-speedup
-		// requirements are meaningful on the recording machine.
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-		Note:       "simulator wall-clock, not radio time; parallel speedup requires >1 CPU",
-	}
-	entry := func(name, baseline, optimized string, base, opt func() error) error {
-		t0 := time.Now()
-		if err := base(); err != nil {
-			return fmt.Errorf("%s baseline: %w", name, err)
-		}
-		bns := time.Since(t0).Nanoseconds()
-		t1 := time.Now()
-		if err := opt(); err != nil {
-			return fmt.Errorf("%s optimized: %w", name, err)
-		}
-		ons := time.Since(t1).Nanoseconds()
-		e := benchEntry{
-			Name: name, Baseline: baseline, Optimized: optimized,
-			BaselineNs: bns, OptimizedNs: ons,
-		}
-		if ons > 0 {
-			e.Speedup = float64(bns) / float64(ons)
-		}
-		report.Results = append(report.Results, e)
-		return nil
-	}
-
-	err := entry("table2_10trials", "workers=1", fmt.Sprintf("workers=%d", workers),
-		func() error { _, err := eval.RunTableIIWorkers(seed, 10, 1); return err },
-		func() error { _, err := eval.RunTableIIWorkers(seed, 10, workers); return err })
-	if err != nil {
-		return err
-	}
-	err = entry("forensics_sweep_10trials", "workers=1", fmt.Sprintf("workers=%d", workers),
-		func() error { _, err := eval.RunForensicsSweepWorkers(seed, 10, 1); return err },
-		func() error { _, err := eval.RunForensicsSweepWorkers(seed, 10, workers); return err })
-	if err != nil {
-		return err
-	}
-
-	sniffer, err := pinCrackWorld()
-	if err != nil {
-		return err
-	}
-	err = entry("pin_crack_8731", "CrackPIN", fmt.Sprintf("CrackPINParallel(workers=%d)", workers),
-		func() error { _, err := sniffer.CrackPIN(core.FourDigitPINs); return err },
-		func() error { _, err := sniffer.CrackPINParallel(core.FourDigitPINs, workers); return err })
-	if err != nil {
-		return err
-	}
-
-	// SAFER+ one-shot (per-call key schedule) vs precomputed context.
-	const n = 20000
-	err = entry("saferplus_ar_20k", "Ar(key, block)", "NewSAFERPlus(key).Ar(block)",
-		func() error {
-			key, block := [16]byte{1, 2, 3}, [16]byte{4, 5, 6}
-			for i := 0; i < n; i++ {
-				block = btcrypto.Ar(key, block)
-			}
-			return nil
-		},
-		func() error {
-			c := btcrypto.NewSAFERPlus([16]byte{1, 2, 3})
-			block := [16]byte{4, 5, 6}
-			for i := 0; i < n; i++ {
-				block = c.Ar(block)
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	err = entry("e1_auth_20k", "E1(key, rand, addr)", "NewE1Context(key).Auth(rand, addr)",
-		func() error {
-			key, challenge, addr := [16]byte{1}, [16]byte{2}, [6]byte{3}
-			for i := 0; i < n; i++ {
-				challenge[0] = byte(i)
-				_, _ = btcrypto.E1(key, challenge, addr)
-			}
-			return nil
-		},
-		func() error {
-			c := btcrypto.NewE1Context([16]byte{1})
-			challenge, addr := [16]byte{2}, [6]byte{3}
-			for i := 0; i < n; i++ {
-				challenge[0] = byte(i)
-				_, _ = c.Auth(challenge, addr)
-			}
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-
-	fe, err := forensicsScanEntry(seed)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, fe)
-
-	se, err := sentinelIngestEntry(seed)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, se)
-
-	me, err := sentinelIngestMultiEntry(seed)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, me)
-
-	te, err := tsdbEntries()
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, te...)
-
-	// Degraded-channel sweep (PR 4): serial vs parallel timing plus the
-	// rows themselves. The parallel rows must be bit-identical to the
-	// serial ones — that identity is the determinism contract. Each side
-	// is best-of-3 behind a forced GC: the sweep is dominated by P-256
-	// pairing work whose one-shot timing swings with collector and
-	// scheduler luck by more than any engine overhead (the BENCH_pr6
-	// artifact recorded a phantom 0.77x "regression" exactly that way).
-	const degradedTrials = 10
-	var serialRows, parallelRows []eval.DegradedRow
-	timeSweep := func(w int, dst *[]eval.DegradedRow) (int64, error) {
-		var best int64
-		for pass := 0; pass < 3; pass++ {
-			runtime.GC()
-			t0 := time.Now()
-			rows, err := eval.RunDegradedSweepWorkers(seed, degradedTrials, w)
-			ns := time.Since(t0).Nanoseconds()
-			if err != nil {
-				return 0, err
-			}
-			*dst = rows
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	sns, err := timeSweep(1, &serialRows)
-	if err != nil {
-		return fmt.Errorf("degraded_sweep_10trials baseline: %w", err)
-	}
-	pns, err := timeSweep(workers, &parallelRows)
-	if err != nil {
-		return fmt.Errorf("degraded_sweep_10trials optimized: %w", err)
-	}
-	if !reflect.DeepEqual(serialRows, parallelRows) {
-		return fmt.Errorf("degraded sweep rows differ between worker counts")
-	}
-	de := benchEntry{
-		Name:     "degraded_sweep_10trials",
-		Baseline: "workers=1", Optimized: fmt.Sprintf("workers=%d", workers),
-		BaselineNs: sns, OptimizedNs: pns,
-		OutputsIdentical: true,
-	}
-	if pns > 0 {
-		de.Speedup = float64(sns) / float64(pns)
-	}
-	report.Results = append(report.Results, de)
-	report.DegradedSweep = parallelRows
-
-	// Cross-attack matrix (PR 10): serial vs parallel timing plus the
-	// rows themselves, under the same determinism contract (and the same
-	// best-of-3 + forced-GC discipline) as the degraded sweep.
-	const attackTrials = 10
-	var serialAttacks, parallelAttacks []eval.AttackRow
-	timeAttacks := func(w int, dst *[]eval.AttackRow) (int64, error) {
-		var best int64
-		for pass := 0; pass < 3; pass++ {
-			runtime.GC()
-			t0 := time.Now()
-			rows, err := eval.RunAttackMatrixWorkers(seed, attackTrials, w)
-			ns := time.Since(t0).Nanoseconds()
-			if err != nil {
-				return 0, err
-			}
-			*dst = rows
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	ans, err := timeAttacks(1, &serialAttacks)
-	if err != nil {
-		return fmt.Errorf("attack_matrix_10trials baseline: %w", err)
-	}
-	apns, err := timeAttacks(workers, &parallelAttacks)
-	if err != nil {
-		return fmt.Errorf("attack_matrix_10trials optimized: %w", err)
-	}
-	if !reflect.DeepEqual(serialAttacks, parallelAttacks) {
-		return fmt.Errorf("attack matrix rows differ between worker counts")
-	}
-	ae := benchEntry{
-		Name:     "attack_matrix_10trials",
-		Baseline: "workers=1", Optimized: fmt.Sprintf("workers=%d", workers),
-		BaselineNs: ans, OptimizedNs: apns,
-		OutputsIdentical: true,
-	}
-	if apns > 0 {
-		ae.Speedup = float64(ans) / float64(apns)
-	}
-	report.Results = append(report.Results, ae)
-	report.AttackMatrix = parallelAttacks
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// forensicsScanEntry benchmarks the batch-pipeline headline: the
-// buffer-everything path (snoop.ReadAll + forensics.Analyze) against
-// forensics.AnalyzeBytes — block sweep, in-sweep prefilter, zero copies
-// — over a synthetic one-million-record capture. The optimized side is
-// best-of-3 (a single ~25 ms pass swings with scheduler and GC luck by
-// more than the regressions this number exists to catch). Alongside
-// wall clock it records heap allocation counts (runtime.MemStats.Mallocs
-// deltas) and verifies the two reports are identical.
-func forensicsScanEntry(seed int64) (benchEntry, error) {
-	const records = 1_000_000
-	var capture bytes.Buffer
-	stats, err := snoop.Synthesize(&capture, snoop.SynthConfig{Records: records, Seed: seed})
-	if err != nil {
-		return benchEntry{}, fmt.Errorf("synthesizing capture: %w", err)
-	}
-	data := capture.Bytes()
-
-	countAllocs := func(f func() error) (int64, uint64, error) {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		if err := f(); err != nil {
-			return 0, 0, err
-		}
-		ns := time.Since(t0).Nanoseconds()
-		runtime.ReadMemStats(&after)
-		return ns, after.Mallocs - before.Mallocs, nil
-	}
-
-	var baseRep, optRep *forensics.Report
-	bns, ballocs, err := countAllocs(func() error {
-		recs, err := snoop.ReadAll(data)
-		if err != nil {
-			return err
-		}
-		baseRep = forensics.Analyze(recs)
-		return nil
-	})
-	if err != nil {
-		return benchEntry{}, fmt.Errorf("forensics_scan_1m baseline: %w", err)
-	}
-	var ons int64
-	var oallocs uint64
-	for pass := 0; pass < 3; pass++ {
-		passNS, passAllocs, err := countAllocs(func() error {
-			var err error
-			optRep, err = forensics.AnalyzeBytes(data)
-			return err
-		})
-		if err != nil {
-			return benchEntry{}, fmt.Errorf("forensics_scan_1m optimized: %w", err)
-		}
-		if ons == 0 || passNS < ons {
-			ons, oallocs = passNS, passAllocs
-		}
-	}
-	identical := reflect.DeepEqual(baseRep, optRep)
-	if !identical {
-		return benchEntry{}, fmt.Errorf("forensics_scan_1m: streaming report differs from in-memory report")
-	}
-	if !baseRep.HasFinding(forensics.FindingPageBlocking) || stats.KeyExposures == 0 {
-		return benchEntry{}, fmt.Errorf("forensics_scan_1m: synthetic capture lost its attack signatures")
-	}
-
-	e := benchEntry{
-		Name:       "forensics_scan_1m",
-		Baseline:   "snoop.ReadAll + forensics.Analyze",
-		Optimized:  "forensics.AnalyzeBytes (batch sweep + in-sweep prefilter)",
-		BaselineNs: bns, OptimizedNs: ons,
-		Records: records, CaptureBytes: int64(len(data)),
-		BaselineAllocs: ballocs, OptimizedAllocs: oallocs,
-		OutputsIdentical: identical,
-	}
-	if ons > 0 {
-		e.Speedup = float64(bns) / float64(ons)
-		e.OptimizedRecPerSec = float64(records) / (float64(ons) / 1e9)
-		e.AllocsPerRecord = float64(oallocs) / float64(records)
-	}
-	if bns > 0 {
-		e.BaselineRecPerSec = float64(records) / (float64(bns) / 1e9)
-	}
-	if oallocs > 0 {
-		e.AllocReduction = float64(ballocs) / float64(oallocs)
-	}
-	return e, nil
-}
-
-// sentinelIngestEntry benchmarks the live daemon path against the batch
-// analyzer over the same one-million-record capture: baseline is the
-// fastest in-process path (forensics.AnalyzeBytes), "optimized" is a
-// sentinel server fed through a real Unix socket with JSONL events
-// enabled — i.e. the full blapd data path including framing, per-record
-// metrics, and event emission. Identity is verified the way the daemon's
-// contract states it: every live finding event must match the batch
-// findings in order, frame, kind, peer, and detail.
-func sentinelIngestEntry(seed int64) (benchEntry, error) {
-	const records = 1_000_000
-	var capture bytes.Buffer
-	if _, err := snoop.Synthesize(&capture, snoop.SynthConfig{Records: records, Seed: seed}); err != nil {
-		return benchEntry{}, fmt.Errorf("synthesizing capture: %w", err)
-	}
-	data := capture.Bytes()
-
-	t0 := time.Now()
-	batchRep, err := forensics.AnalyzeBytes(data)
-	if err != nil {
-		return benchEntry{}, fmt.Errorf("sentinel_ingest_1m baseline: %w", err)
-	}
-	bns := time.Since(t0).Nanoseconds()
-
-	// Since PR 8 the measured configuration includes persistence: a real
-	// store receives every finding and stream end through the bounded
-	// persist queues while ingest runs. Since PR 9 it also includes the
-	// resilience path: the client speaks the session resume protocol
-	// (chunk framing + offset acks) and the server takes periodic
-	// detector checkpoints through the same persist queues. The
-	// -checkjson baseline gate holds this number to >= 95% of the PR 8
-	// figure — resumability must stay off the hot path too.
-	storeDir, err := os.MkdirTemp("", "blapd-bench-store-")
-	if err != nil {
-		return benchEntry{}, err
-	}
-	defer os.RemoveAll(storeDir)
-	store, err := tsdb.Open(tsdb.Options{Dir: storeDir})
-	if err != nil {
-		return benchEntry{}, err
-	}
-	defer store.Close()
-
-	sock := filepath.Join(os.TempDir(), fmt.Sprintf("blapd-bench-%d.sock", os.Getpid()))
-	var events bytes.Buffer
-	done := make(chan sentinel.StreamSummary, 1)
-	srv := sentinel.New(sentinel.Config{
-		UnixAddr:    sock,
-		Output:      &events,
-		Store:       store,
-		ResumeGrace: time.Minute,
-		// Checkpoint fsyncs stall the persist consumer for milliseconds
-		// while the full-speed ingest keeps producing findings; the
-		// default queue depth absorbs a daemon-paced load but not this
-		// bench's burst rate, and the entry asserts zero drops.
-		PersistBuffer: 1 << 16,
-		OnStreamEnd:   func(sum sentinel.StreamSummary) { done <- sum },
-	})
-	if err := srv.Start(); err != nil {
-		return benchEntry{}, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-
-	// Best-of-5: a single-shot socket measurement swings ±10% (and the
-	// occasional pass lands 30%+ out) with scheduler noise, which is
-	// larger than the regressions this number exists to catch; the first
-	// store-backed pass also pays one-time segment-creation cost. The
-	// last pass's event stream is verified.
-	var ons int64
-	var sum sentinel.StreamSummary
-	for pass := 0; pass < 5; pass++ {
-		// Forced GC per pass, the degraded-sweep remedy from PR 7: by the
-		// time the suite reaches this entry the heap carries the earlier
-		// sweeps' garbage, and a collection landing inside the ~50 ms
-		// measured window reads as a phantom 30%+ regression on one core.
-		runtime.GC()
-		events.Reset()
-		t1 := time.Now()
-		conn, _, err := sentinel.DialSession("unix", srv.UnixAddr(), fmt.Sprintf("bench-%d", pass), "", 10*time.Second)
-		if err != nil {
-			return benchEntry{}, err
-		}
-		if _, err := sentinel.WriteSessionBytes(conn, data); err != nil {
-			return benchEntry{}, fmt.Errorf("streaming capture: %w", err)
-		}
-		if err := sentinel.WriteSessionFin(conn); err != nil {
-			return benchEntry{}, fmt.Errorf("session fin: %w", err)
-		}
-		conn.Close()
-		sum = <-done
-		passNS := time.Since(t1).Nanoseconds()
-		if sum.Status != sentinel.StatusClean || sum.Records != records {
-			return benchEntry{}, fmt.Errorf("sentinel_ingest_1m: stream ended %q with %d records: %v",
-				sum.Status, sum.Records, sum.Err)
-		}
-		if ons == 0 || passNS < ons {
-			ons = passNS
-		}
-	}
-
-	// Verify the live/batch parity contract on the real event stream.
-	var live []sentinel.Event
-	sc := bufio.NewScanner(bytes.NewReader(events.Bytes()))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev sentinel.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return benchEntry{}, fmt.Errorf("sentinel_ingest_1m: bad event line: %w", err)
-		}
-		if ev.Type == sentinel.EventFinding {
-			live = append(live, ev)
-		}
-	}
-	identical := len(live) == len(batchRep.Findings)
-	for i := 0; identical && i < len(live); i++ {
-		w := batchRep.Findings[i]
-		identical = live[i].Frame == w.Frame && live[i].Kind == w.Kind &&
-			live[i].Peer == w.Peer.String() && live[i].Detail == w.Detail
-	}
-	if !identical {
-		return benchEntry{}, fmt.Errorf("sentinel_ingest_1m: live events diverge from batch findings")
-	}
-	snap := srv.Snapshot()
-	if snap.Persist.Dropped != 0 {
-		return benchEntry{}, fmt.Errorf("sentinel_ingest_1m: persistence dropped %d events in a healthy run", snap.Persist.Dropped)
-	}
-	if snap.Sessions.Checkpoints == 0 {
-		return benchEntry{}, fmt.Errorf("sentinel_ingest_1m: no detector checkpoints taken — the measured config must include checkpointing")
-	}
-
-	e := benchEntry{
-		Name:       "sentinel_ingest_1m",
-		Baseline:   "forensics.AnalyzeBytes (in-process batch)",
-		Optimized:  "sentinel session-protocol ingest (zero-copy client writev) + JSONL events + tsdb persistence + detector checkpoints (live)",
-		BaselineNs: bns, OptimizedNs: ons,
-		Records: records, CaptureBytes: int64(len(data)),
-		OutputsIdentical: identical,
-	}
-	if ons > 0 {
-		e.Speedup = float64(bns) / float64(ons)
-		e.OptimizedRecPerSec = float64(records) / (float64(ons) / 1e9)
-	}
-	if bns > 0 {
-		e.BaselineRecPerSec = float64(records) / (float64(bns) / 1e9)
-	}
-	return e, nil
-}
-
-// sentinelIngestMultiEntry benchmarks the sharded fan-in: N concurrent
-// unix-socket streams, each carrying the same one-million-record
-// synthetic capture, against the same N streams run back to back. The
-// concurrent side is what the per-core shards exist for — N detector
-// pipelines and N shard writers with no shared queue and no global
-// writer lock — so on a multi-core machine the aggregate records/sec
-// must scale past the single-stream figure (the -checkjson baseline
-// gate enforces >=2x on >=2 CPUs). Both sides are best-of-3; parity is
-// verified per stream on the last concurrent pass: every stream's live
-// finding events must match the batch findings in order, frame, kind,
-// peer, and detail.
-func sentinelIngestMultiEntry(seed int64) (benchEntry, error) {
-	const records = 1_000_000
-	streams := runtime.GOMAXPROCS(0)
-	if streams < 2 {
-		streams = 2 // still exercise the multi-stream path (no speedup on one core)
-	}
-	if streams > 8 {
-		streams = 8
-	}
-
-	var capture bytes.Buffer
-	if _, err := snoop.Synthesize(&capture, snoop.SynthConfig{Records: records, Seed: seed}); err != nil {
-		return benchEntry{}, fmt.Errorf("synthesizing capture: %w", err)
-	}
-	data := capture.Bytes()
-	batchRep, err := forensics.AnalyzeBytes(data)
-	if err != nil {
-		return benchEntry{}, fmt.Errorf("sentinel_ingest_multi batch reference: %w", err)
-	}
-
-	sock := filepath.Join(os.TempDir(), fmt.Sprintf("blapd-multi-%d.sock", os.Getpid()))
-	var mu sync.Mutex
-	var events bytes.Buffer
-	sink := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return events.Write(p)
-	})
-	done := make(chan sentinel.StreamSummary, streams)
-	srv := sentinel.New(sentinel.Config{
-		UnixAddr:    sock,
-		MaxStreams:  streams,
-		ResumeGrace: time.Minute,
-		Output:      sink,
-		OnStreamEnd: func(sum sentinel.StreamSummary) { done <- sum },
-	})
-	if err := srv.Start(); err != nil {
-		return benchEntry{}, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-
-	// Every stream speaks the PR 9 session protocol (the resilient
-	// configuration this figure gates); ids are unique per dial so no
-	// stream accidentally resumes another.
-	var sid atomic.Int64
-	oneStream := func() error {
-		conn, _, err := sentinel.DialSession("unix", srv.UnixAddr(), fmt.Sprintf("multi-%d", sid.Add(1)), "", 10*time.Second)
-		if err != nil {
-			return err
-		}
-		if _, err := sentinel.WriteSessionBytes(conn, data); err != nil {
-			conn.Close()
-			return fmt.Errorf("streaming capture: %w", err)
-		}
-		if err := sentinel.WriteSessionFin(conn); err != nil {
-			conn.Close()
-			return fmt.Errorf("session fin: %w", err)
-		}
-		return conn.Close()
-	}
-	waitAll := func(n int) error {
-		for i := 0; i < n; i++ {
-			sum := <-done
-			if sum.Status != sentinel.StatusClean || sum.Records != records || sum.EventsDropped != 0 {
-				return fmt.Errorf("stream %d ended %q with %d records (%d events dropped): %v",
-					sum.ID, sum.Status, sum.Records, sum.EventsDropped, sum.Err)
-			}
-		}
-		return nil
-	}
-
-	// Baseline: the same N captures, one stream at a time — the work a
-	// single-writer funnel serializes regardless of core count.
-	var bns int64
-	for pass := 0; pass < 3; pass++ {
-		mu.Lock()
-		events.Reset()
-		mu.Unlock()
-		t0 := time.Now()
-		for i := 0; i < streams; i++ {
-			if err := oneStream(); err != nil {
-				return benchEntry{}, fmt.Errorf("sentinel_ingest_multi baseline: %w", err)
-			}
-			if err := waitAll(1); err != nil {
-				return benchEntry{}, fmt.Errorf("sentinel_ingest_multi baseline: %w", err)
-			}
-		}
-		ns := time.Since(t0).Nanoseconds()
-		if bns == 0 || ns < bns {
-			bns = ns
-		}
-	}
-
-	// Optimized: the same N captures, all streams in flight at once.
-	var ons int64
-	for pass := 0; pass < 3; pass++ {
-		mu.Lock()
-		events.Reset()
-		mu.Unlock()
-		errs := make(chan error, streams)
-		t0 := time.Now()
-		for i := 0; i < streams; i++ {
-			go func() { errs <- oneStream() }()
-		}
-		for i := 0; i < streams; i++ {
-			if err := <-errs; err != nil {
-				return benchEntry{}, fmt.Errorf("sentinel_ingest_multi optimized: %w", err)
-			}
-		}
-		if err := waitAll(streams); err != nil {
-			return benchEntry{}, fmt.Errorf("sentinel_ingest_multi optimized: %w", err)
-		}
-		ns := time.Since(t0).Nanoseconds()
-		if ons == 0 || ns < ons {
-			ons = ns
-		}
-	}
-
-	// Live-vs-batch parity per stream, on the last concurrent pass: the
-	// shard writers interleave whole batches, so split by stream id and
-	// compare each stream's findings against the one batch reference.
-	mu.Lock()
-	raw := append([]byte(nil), events.Bytes()...)
-	mu.Unlock()
-	liveByStream := make(map[uint64][]sentinel.Event)
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev sentinel.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return benchEntry{}, fmt.Errorf("sentinel_ingest_multi: bad event line: %w", err)
-		}
-		if ev.Type == sentinel.EventFinding {
-			liveByStream[ev.Stream] = append(liveByStream[ev.Stream], ev)
-		}
-	}
-	if len(liveByStream) != streams {
-		return benchEntry{}, fmt.Errorf("sentinel_ingest_multi: findings from %d streams, want %d", len(liveByStream), streams)
-	}
-	for id, live := range liveByStream {
-		if len(live) != len(batchRep.Findings) {
-			return benchEntry{}, fmt.Errorf("sentinel_ingest_multi: stream %d has %d findings, batch has %d",
-				id, len(live), len(batchRep.Findings))
-		}
-		for i, ev := range live {
-			w := batchRep.Findings[i]
-			if ev.Seq != uint64(i+1) || ev.Frame != w.Frame || ev.Kind != w.Kind ||
-				ev.Peer != w.Peer.String() || ev.Detail != w.Detail {
-				return benchEntry{}, fmt.Errorf("sentinel_ingest_multi: stream %d finding %d diverges from batch", id, i)
-			}
-		}
-	}
-
-	e := benchEntry{
-		Name:       "sentinel_ingest_multi",
-		Baseline:   fmt.Sprintf("%d session streams sequential (single-stream funnel)", streams),
-		Optimized:  fmt.Sprintf("%d session streams concurrent (sharded writers, shards=GOMAXPROCS)", streams),
-		BaselineNs: bns, OptimizedNs: ons,
-		Records: streams * records, Streams: streams,
-		CaptureBytes:     int64(len(data)) * int64(streams),
-		OutputsIdentical: true,
-	}
-	if ons > 0 {
-		e.Speedup = float64(bns) / float64(ons)
-		e.OptimizedRecPerSec = float64(streams*records) / (float64(ons) / 1e9)
-	}
-	if bns > 0 {
-		e.BaselineRecPerSec = float64(streams*records) / (float64(bns) / 1e9)
-	}
-	return e, nil
-}
-
-// writerFunc adapts a function to io.Writer (the multi-stream bench's
-// mutex-guarded event sink).
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// checkBenchJSON validates the shape of a bench JSON file: it must parse
-// as a benchReport with a non-empty Results list whose entries all carry
-// a name and timings, and any capture-scan entry must have verified
-// output identity. Used by scripts/verify.sh as a CI gate.
-func checkBenchJSON(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(rep.Results) == 0 {
-		return fmt.Errorf("%s: no results", path)
-	}
-	for i, e := range rep.Results {
-		if e.Name == "" {
-			return fmt.Errorf("%s: result %d has no name", path, i)
-		}
-		if e.BaselineNs <= 0 || e.OptimizedNs <= 0 {
-			return fmt.Errorf("%s: result %q missing timings", path, e.Name)
-		}
-		if e.Records > 0 && !e.OutputsIdentical {
-			return fmt.Errorf("%s: result %q did not verify output identity", path, e.Name)
-		}
-	}
-	if len(rep.DegradedSweep) > 0 {
-		if err := checkDegradedSweep(path, rep.DegradedSweep); err != nil {
-			return err
-		}
-	}
-	if len(rep.AttackMatrix) > 0 {
-		if err := checkAttackMatrix(path, rep.AttackMatrix); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkAttackMatrix validates the PR 10 acceptance criteria on emitted
-// cross-attack rows: at least five attacks with non-zero trials, every
-// clean-channel attack with a detector rule detected exactly as often as
-// it succeeds (live == batch == success), and the passkey-guard
-// mitigation row holding the attack at zero on the clean channel.
-func checkAttackMatrix(path string, rows []eval.AttackRow) error {
-	attacks := make(map[string]bool)
-	var sawGuardClean bool
-	for _, r := range rows {
-		if r.Trials <= 0 {
-			return fmt.Errorf("%s: attack row (%s, %s) ran no trials", path, r.Attack, r.Channel)
-		}
-		attacks[r.Attack] = true
-		if r.Channel == "clean" {
-			if r.Attack == "passkey-guard" {
-				sawGuardClean = true
-				if r.Succeeded != 0 {
-					return fmt.Errorf("%s: passkey-guard mitigation leaked: %d/%d attacks succeeded on a clean channel",
-						path, r.Succeeded, r.Trials)
-				}
-			} else if r.DetectorKind != "-" && r.Detected != r.Succeeded {
-				return fmt.Errorf("%s: clean-channel %s detected %d of %d successes via %s",
-					path, r.Attack, r.Detected, r.Succeeded, r.DetectorKind)
-			}
-		}
-	}
-	if len(attacks) < 5 {
-		return fmt.Errorf("%s: attack matrix covers %d attacks, want >= 5", path, len(attacks))
-	}
-	if !sawGuardClean {
-		return fmt.Errorf("%s: attack matrix lacks the clean passkey-guard mitigation row", path)
-	}
-	return nil
-}
-
-// checkAgainstBaseline compares a fresh bench JSON against an older one.
-// With minSpeedup == 0 it enforces the PR 5 acceptance gate: the
-// sentinel_ingest_1m live-ingest throughput must be within 5% of the
-// baseline's (observability instrumentation is nearly free). With
-// minSpeedup > 0 it enforces the PR 6 batch-pipeline gate instead: both
-// sentinel_ingest_1m and forensics_scan_1m must run at least minSpeedup
-// times faster than the baseline, and when both artifacts record
-// allocations per record the fresh run must not allocate more (2%
-// tolerance for accounting jitter). checkMulti additionally holds
-// sentinel_ingest_multi to the same 95% floor — the PR 9 gate, opt-in
-// because older artifact pairs predate the resilient configuration.
-// Both files are committed artifacts, so the check is deterministic in
-// CI.
-func checkAgainstBaseline(path, basePath string, minSpeedup float64, checkMulti bool) error {
-	load := func(p, name string) (benchEntry, error) {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			return benchEntry{}, err
-		}
-		var rep benchReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return benchEntry{}, fmt.Errorf("%s: %w", p, err)
-		}
-		for _, e := range rep.Results {
-			if e.Name == name {
-				return e, nil
-			}
-		}
-		return benchEntry{}, fmt.Errorf("%s: no %s entry", p, name)
-	}
-
-	compare := func(name string) error {
-		cur, err := load(path, name)
-		if err != nil {
-			return err
-		}
-		base, err := load(basePath, name)
-		if err != nil {
-			return err
-		}
-		if base.OptimizedRecPerSec <= 0 {
-			return fmt.Errorf("%s: %s has no throughput", basePath, name)
-		}
-		ratio := cur.OptimizedRecPerSec / base.OptimizedRecPerSec
-		if minSpeedup > 0 {
-			if ratio < minSpeedup {
-				return fmt.Errorf("%s speedup %.2fx below required %.2fx (%.0f rec/s vs baseline %.0f rec/s)",
-					name, ratio, minSpeedup, cur.OptimizedRecPerSec, base.OptimizedRecPerSec)
-			}
-			if cur.AllocsPerRecord > 0 && base.AllocsPerRecord > 0 &&
-				cur.AllocsPerRecord > base.AllocsPerRecord*1.02 {
-				return fmt.Errorf("%s allocations regressed: %.4f allocs/record vs baseline %.4f",
-					name, cur.AllocsPerRecord, base.AllocsPerRecord)
-			}
-			fmt.Printf("%s: %.2fM rec/s vs baseline %.2fM rec/s (%.2fx, floor %.2fx)\n",
-				name, cur.OptimizedRecPerSec/1e6, base.OptimizedRecPerSec/1e6, ratio, minSpeedup)
-			return nil
-		}
-		if ratio < 0.95 {
-			return fmt.Errorf("%s throughput regressed: %.0f rec/s vs baseline %.0f rec/s (%.1f%%, floor 95%%)",
-				name, cur.OptimizedRecPerSec, base.OptimizedRecPerSec, 100*ratio)
-		}
-		fmt.Printf("%s: %.2fM rec/s vs baseline %.2fM rec/s (%.1f%% — instrumentation overhead within 5%%)\n",
-			name, cur.OptimizedRecPerSec/1e6, base.OptimizedRecPerSec/1e6, 100*ratio)
-		return nil
-	}
-
-	if err := compare("sentinel_ingest_1m"); err != nil {
-		return err
-	}
-	if minSpeedup > 0 {
-		return compare("forensics_scan_1m")
-	}
-	if checkMulti {
-		if err := compare("sentinel_ingest_multi"); err != nil {
-			return err
-		}
-	}
-
-	// PR 7 gates, triggered by the artifact itself: when the fresh file
-	// carries a sentinel_ingest_multi entry it was produced by the
-	// sharded daemon, so enforce the sharding acceptance criteria —
-	// multi-stream aggregate throughput at least 2x the single-stream
-	// figure (meaningful only when the recording machine had >=2 CPUs),
-	// and the degraded sweep's parallel speedup restored to >=0.95.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	byName := make(map[string]benchEntry, len(rep.Results))
-	for _, e := range rep.Results {
-		byName[e.Name] = e
-	}
-	multi, ok := byName["sentinel_ingest_multi"]
-	if !ok {
-		return nil // pre-shard artifact; nothing more to enforce
-	}
-	single, ok := byName["sentinel_ingest_1m"]
-	if !ok || single.OptimizedRecPerSec <= 0 {
-		return fmt.Errorf("%s: sentinel_ingest_multi without a single-stream figure to compare against", path)
-	}
-	ratio := multi.OptimizedRecPerSec / single.OptimizedRecPerSec
-	if rep.GOMAXPROCS >= 2 {
-		if ratio < 2 {
-			return fmt.Errorf("sentinel_ingest_multi aggregate %.2fM rec/s is %.2fx the single-stream %.2fM rec/s (floor 2x on %d CPUs)",
-				multi.OptimizedRecPerSec/1e6, ratio, single.OptimizedRecPerSec/1e6, rep.GOMAXPROCS)
-		}
-		fmt.Printf("sentinel_ingest_multi: %d streams, %.2fM rec/s aggregate = %.2fx single-stream (floor 2x)\n",
-			multi.Streams, multi.OptimizedRecPerSec/1e6, ratio)
-	} else {
-		fmt.Printf("sentinel_ingest_multi: %d streams, %.2fM rec/s aggregate = %.2fx single-stream (2x floor waived: recorded on %d CPU)\n",
-			multi.Streams, multi.OptimizedRecPerSec/1e6, ratio, rep.GOMAXPROCS)
-	}
-	deg, ok := byName["degraded_sweep_10trials"]
-	if !ok {
-		return fmt.Errorf("%s: missing degraded_sweep_10trials entry", path)
-	}
-	if deg.Speedup < 0.95 {
-		return fmt.Errorf("degraded_sweep_10trials workers=%d speedup %.2fx below the 0.95 floor", rep.Workers, deg.Speedup)
-	}
-	fmt.Printf("degraded_sweep_10trials: workers=%d speedup %.2fx (floor 0.95)\n", rep.Workers, deg.Speedup)
-	return nil
-}
-
-// checkDegradedSweep validates the PR 4 acceptance criteria on emitted
-// degraded-channel rows: at least four loss settings, a clean reference
-// row with full success, and legitimate pairing surviving every uniform
-// loss setting at or below 5% via baseband retransmission.
-func checkDegradedSweep(path string, rows []eval.DegradedRow) error {
-	if len(rows) < 4 {
-		return fmt.Errorf("%s: degraded sweep has %d settings, want >= 4", path, len(rows))
-	}
-	var sawClean, sawModerateLoss bool
-	for _, r := range rows {
-		if r.Trials <= 0 {
-			return fmt.Errorf("%s: degraded row %q ran no trials", path, r.Label)
-		}
-		switch r.PlanSpec {
-		case "none":
-			sawClean = true
-			if r.ExtractionOK != r.Trials || r.PageBlockingOK != r.Trials || r.LegitPairOK != r.Trials {
-				return fmt.Errorf("%s: clean degraded row is not all-success: %+v", path, r)
-			}
-		case "drop=0.02", "drop=0.05":
-			sawModerateLoss = true
-			if r.LegitPairOK != r.Trials {
-				return fmt.Errorf("%s: legitimate pairing must survive %s via ARQ: %+v", path, r.PlanSpec, r)
-			}
-		}
-	}
-	if !sawClean {
-		return fmt.Errorf("%s: degraded sweep lacks a clean reference row", path)
-	}
-	if !sawModerateLoss {
-		return fmt.Errorf("%s: degraded sweep lacks a <=5%% uniform loss row", path)
-	}
-	return nil
-}
-
-// pinCrackWorld reproduces the legacy-pairing capture the PIN cracking
-// benchmarks run against: two 2.0 devices pair with PIN 8731 while an air
-// sniffer records the handshake.
-func pinCrackWorld() (*core.AirSniffer, error) {
-	s := sim.NewScheduler(5)
-	med := radio.NewMedium(s, radio.DefaultConfig())
-	sniffer := core.NewAirSniffer(med)
-	mk := func(addr bt.BDADDR) *host.Host {
-		tr := hci.NewTransport(s, 100*time.Microsecond)
-		controller.New(s, med, tr, controller.Config{Addr: addr, COD: bt.CODHeadset})
-		h := host.New(s, tr, host.Config{
-			Version: bt.V2_1, IOCap: bt.NoInputNoOutput,
-			LegacyPairing: true, PINCode: "8731",
-			AcceptIncoming: true, Discoverable: true, Connectable: true,
-		}, host.Hooks{})
-		h.Start()
-		return h
-	}
-	a := mk(core.AddrM)
-	mk(core.AddrC)
-	s.Run(0)
-	a.Pair(core.AddrC, func(error) {})
-	s.RunFor(10 * time.Second)
-	res, err := sniffer.CrackPIN(core.FourDigitPINs)
-	if err != nil || res.PIN != "8731" {
-		return nil, fmt.Errorf("benchtables: PIN crack world broken: %v %q", err, res.PIN)
-	}
-	return sniffer, nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -13,213 +12,25 @@ import (
 	"repro/internal/tsdb"
 )
 
-// tsdbRecords is the payload count for the store benchmarks and the
-// deterministic smoke: one synthetic finding per millisecond across a
-// ~17-minute span, so the time-indexed segment directory has real
-// pruning work to do.
+// tsdbRecords is the payload count for the deterministic store smoke:
+// one synthetic finding per millisecond across a ~17-minute span, so
+// retention and the time-indexed segment directory have real work to
+// do. The store figures committed in BENCH_pr8.json are frozen history;
+// current store numbers come from bash bench/run.sh (the tsdb.* rows).
 const tsdbRecords = 1_000_000
 
 // tsdbPayload appends the i-th synthetic finding line: a small JSONL
 // object shaped like the sentinel's persisted findings, with the frame
-// timestamp also embedded so a flat-file baseline can window-filter.
+// timestamp also embedded.
 func tsdbPayload(buf []byte, ts int64, i int) []byte {
 	return fmt.Appendf(buf, `{"ts":%d,"seq":%d,"stream":%d,"kind":"probe","detail":"synthetic finding %d"}`,
 		ts, i+1, i%16+1, i)
 }
 
-// tsdbBase is the fixed epoch the benchmark and smoke timelines start
-// at; payload i lands at tsdbBase + i milliseconds. Nothing here reads
-// the wall clock, which is what makes the smoke byte-reproducible.
+// tsdbBase is the fixed epoch the smoke timeline starts at; payload i
+// lands at tsdbBase + i milliseconds. Nothing here reads the wall
+// clock, which is what makes the smoke byte-reproducible.
 var tsdbBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-// tsdbEntries produces the two store benchmarks over one shared
-// artifact pair — the same 1M findings written as a flat JSONL file
-// (the pre-PR8 durability option) and as a tsdb store:
-//
-//   - tsdb_append_1m: per-line unbuffered appends to a flat file vs
-//     Store.Append's buffered, CRC-framed segments.
-//   - tsdb_query_window: full-file scan-and-filter vs Store.Query with
-//     the segment directory pruning non-overlapping segments.
-//
-// Identity is verified by digest: both sides must hold the same
-// payload bytes in the same order, on the full set and on the window.
-func tsdbEntries() ([]benchEntry, error) {
-	dir, err := os.MkdirTemp("", "benchtables-tsdb-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	tsAt := func(i int) int64 {
-		return tsdbBase.Add(time.Duration(i) * time.Millisecond).UnixNano()
-	}
-
-	// Baseline artifact: JSONL file, one unbuffered write per record —
-	// the simplest thing a daemon could do for durability.
-	flatPath := filepath.Join(dir, "findings.jsonl")
-	flat, err := os.Create(flatPath)
-	if err != nil {
-		return nil, err
-	}
-	var buf []byte
-	baseDigest := sha256.New()
-	t0 := time.Now()
-	for i := 0; i < tsdbRecords; i++ {
-		buf = tsdbPayload(buf[:0], tsAt(i), i)
-		buf = append(buf, '\n')
-		if _, err := flat.Write(buf); err != nil {
-			return nil, fmt.Errorf("tsdb_append_1m baseline: %w", err)
-		}
-	}
-	if err := flat.Close(); err != nil {
-		return nil, err
-	}
-	appendBaseNS := time.Since(t0).Nanoseconds()
-
-	// Optimized artifact: the embedded store, same payloads.
-	store, err := tsdb.Open(tsdb.Options{
-		Dir:          filepath.Join(dir, "store"),
-		CompactEvery: -1,
-		Now:          func() time.Time { return tsdbBase },
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer store.Close()
-	t1 := time.Now()
-	for i := 0; i < tsdbRecords; i++ {
-		buf = tsdbPayload(buf[:0], tsAt(i), i)
-		if err := store.Append("findings", tsAt(i), uint64(i%16+1), buf); err != nil {
-			return nil, fmt.Errorf("tsdb_append_1m optimized: %w", err)
-		}
-	}
-	if err := store.Sync(); err != nil {
-		return nil, err
-	}
-	appendOptNS := time.Since(t1).Nanoseconds()
-
-	// Identity: the store must hold exactly the flat file's lines.
-	raw, err := os.ReadFile(flatPath)
-	if err != nil {
-		return nil, err
-	}
-	baseDigest.Write(raw)
-	storeDigest := sha256.New()
-	var storeCount int
-	err = store.Query("findings", 0, tsAt(tsdbRecords-1), tsdb.KeyAny, func(fr tsdb.Frame) error {
-		storeDigest.Write(fr.Data)
-		storeDigest.Write([]byte{'\n'})
-		storeCount++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	identical := storeCount == tsdbRecords &&
-		fmt.Sprintf("%x", baseDigest.Sum(nil)) == fmt.Sprintf("%x", storeDigest.Sum(nil))
-	if !identical {
-		return nil, fmt.Errorf("tsdb_append_1m: store contents diverge from flat file (%d records)", storeCount)
-	}
-
-	var size int64
-	if fi, err := os.Stat(flatPath); err == nil {
-		size = fi.Size()
-	}
-	appendEntry := benchEntry{
-		Name:       "tsdb_append_1m",
-		Baseline:   "flat JSONL file, one unbuffered write per finding",
-		Optimized:  "tsdb.Append (buffered CRC-framed segments, time index)",
-		BaselineNs: appendBaseNS, OptimizedNs: appendOptNS,
-		Records: tsdbRecords, CaptureBytes: size,
-		OutputsIdentical: identical,
-	}
-	if appendOptNS > 0 {
-		appendEntry.Speedup = float64(appendBaseNS) / float64(appendOptNS)
-		appendEntry.OptimizedRecPerSec = float64(tsdbRecords) / (float64(appendOptNS) / 1e9)
-	}
-	if appendBaseNS > 0 {
-		appendEntry.BaselineRecPerSec = float64(tsdbRecords) / (float64(appendBaseNS) / 1e9)
-	}
-
-	// Window query: one minute out of the ~17-minute span. The flat
-	// baseline has no index, so it parses every line; the store prunes
-	// to the overlapping segments. Best-of-3 on both sides — the store
-	// side is sub-millisecond and swings with cache luck.
-	since := tsAt(500_000)
-	until := tsAt(560_000)
-	type tsOnly struct {
-		TS int64 `json:"ts"`
-	}
-	var queryBaseNS, queryOptNS int64
-	var baseWindow, optWindow int
-	for pass := 0; pass < 3; pass++ {
-		baseWindow = 0
-		t2 := time.Now()
-		rest := raw
-		for len(rest) > 0 {
-			nl := 0
-			for nl < len(rest) && rest[nl] != '\n' {
-				nl++
-			}
-			line := rest[:nl]
-			if nl < len(rest) {
-				rest = rest[nl+1:]
-			} else {
-				rest = nil
-			}
-			if len(line) == 0 {
-				continue
-			}
-			var t tsOnly
-			if err := json.Unmarshal(line, &t); err != nil {
-				return nil, fmt.Errorf("tsdb_query_window baseline: %w", err)
-			}
-			if t.TS >= since && t.TS <= until {
-				baseWindow++
-			}
-		}
-		ns := time.Since(t2).Nanoseconds()
-		if queryBaseNS == 0 || ns < queryBaseNS {
-			queryBaseNS = ns
-		}
-	}
-	for pass := 0; pass < 3; pass++ {
-		optWindow = 0
-		t3 := time.Now()
-		err = store.Query("findings", since, until, tsdb.KeyAny, func(tsdb.Frame) error {
-			optWindow++
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tsdb_query_window optimized: %w", err)
-		}
-		ns := time.Since(t3).Nanoseconds()
-		if queryOptNS == 0 || ns < queryOptNS {
-			queryOptNS = ns
-		}
-	}
-	if baseWindow != optWindow || baseWindow != 60_001 {
-		return nil, fmt.Errorf("tsdb_query_window: flat scan found %d rows, store found %d (want 60001)",
-			baseWindow, optWindow)
-	}
-
-	queryEntry := benchEntry{
-		Name:       "tsdb_query_window",
-		Baseline:   "flat JSONL scan, parse-and-filter every line",
-		Optimized:  "tsdb.Query (time-indexed segment pruning)",
-		BaselineNs: queryBaseNS, OptimizedNs: queryOptNS,
-		Records: baseWindow, CaptureBytes: size,
-		OutputsIdentical: true,
-	}
-	if queryOptNS > 0 {
-		queryEntry.Speedup = float64(queryBaseNS) / float64(queryOptNS)
-		queryEntry.OptimizedRecPerSec = float64(baseWindow) / (float64(queryOptNS) / 1e9)
-	}
-	if queryBaseNS > 0 {
-		queryEntry.BaselineRecPerSec = float64(baseWindow) / (float64(queryBaseNS) / 1e9)
-	}
-	return []benchEntry{appendEntry, queryEntry}, nil
-}
 
 // runTSDBSmoke is the deterministic store check scripts/verify.sh runs
 // twice and compares: append 1M findings on a fixed timeline, seal and

@@ -33,6 +33,9 @@ func TestDegradedSweepOutcomes(t *testing.T) {
 	}
 	byLabel := map[string]DegradedRow{}
 	for _, r := range rows {
+		if r.Trials <= 0 {
+			t.Fatalf("row %q ran no trials: %+v", r.Label, r)
+		}
 		byLabel[r.Label] = r
 	}
 
