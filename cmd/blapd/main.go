@@ -15,14 +15,16 @@
 //	blapd -tcp 127.0.0.1:9011 -http 127.0.0.1:9012 -store /var/lib/blapd -retention 168h
 //	blapd -unix /run/blapd.sock
 //	blapd -stdin < capture.btsnoop        # one-shot; exit 3 on findings
-//	blapd -send capture.btsnoop -tcp host:9011   # stream a file to a daemon
+//	blapd -send capture.btsnoop -tcp host:9011   # one-shot send to a daemon
 //	blapd -send capture.btsnoop -tcp host:9011 -session job-7   # resumable send
 //	blapd -smoke                          # self-contained end-to-end check
 //
-// Clients that pass -session speak the session resume protocol: if the
-// transport dies mid-send, the daemon parks the stream for -resume-grace
-// and the client reconnects with capped exponential backoff + jitter,
-// resuming from the last byte the daemon acknowledged. With -store the
+// Every socket stream speaks one protocol, the session framing; an empty
+// session id is a one-shot stream with resume disabled. Clients that
+// pass -session get a resumable stream: if the transport dies mid-send,
+// the daemon parks the stream for -resume-grace and the client
+// reconnects with capped exponential backoff + jitter, resuming from the
+// last byte the daemon acknowledged. With -store the
 // daemon also checkpoints detector state every -checkpoint-every capture
 // bytes, so a killed-and-restarted daemon recovers parked sessions from
 // disk (logged at startup).
@@ -34,8 +36,8 @@
 // Exit codes: 0 on success, 1 on error, 2 on usage; -stdin exits 3 when
 // the capture produced at least one finding (the same contract as
 // hcidump -analyze); -send exits 4 when a partial payload was delivered
-// but the send could not be completed (the daemon may still hold the
-// parked remainder).
+// but the send could not be completed (with -session, the daemon may
+// still hold the parked remainder).
 package main
 
 import (
@@ -47,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -89,7 +90,7 @@ func main() {
 		ackEvery     = flag.Int64("ack-every", 0, "payload-byte interval between session acks (0 = 1MiB default)")
 		tenantQuota  = flag.Int("tenant-quota", 0, "max concurrent sessions per tenant, admitted ahead of -max-streams (0 = unlimited)")
 		watchdog     = flag.Duration("watchdog", 0, "force-fail any stream whose detector makes no progress for this long (0 disables)")
-		session      = flag.String("session", "", "with -send: session id for resumable transfer (empty = legacy raw stream)")
+		session      = flag.String("session", "", "with -send: session id for resumable transfer (empty = one-shot stream: same protocol, resume disabled)")
 		tenant       = flag.String("tenant", "", "with -send -session: tenant label for per-tenant admission quotas")
 		connTimeout  = flag.Duration("connect-timeout", 5*time.Second, "with -send: per-attempt dial/handshake timeout")
 		cutAt        = flag.Int64("cut", 0, "with -send -session: test hook — kill the transport after this many payload bytes on the first attempt, then reconnect and resume")
@@ -236,11 +237,11 @@ func runStdin(maxStreams, shards int) int {
 var errPartialSend = errors.New("partial send")
 
 // runSend streams a capture file to a running daemon — the companion
-// client for testing a deployed blapd without a phone in hand. Dial
-// failures retry with capped exponential backoff + jitter. With
-// -session the transfer is resumable: a mid-send transport failure
-// reconnects under the same session id and resumes from the byte offset
-// the daemon's hello reports.
+// client for testing a deployed blapd without a phone in hand. Every
+// send is a session (sendSession). With -session the transfer is
+// resumable: a mid-send transport failure reconnects under the same
+// session id and resumes from the byte offset the daemon's hello
+// reports. Without it the send is a one-shot stream.
 func runSend(path, tcpAddr, unixAddr, session, tenant string, connTimeout time.Duration, cut int64) error {
 	network, addr := "tcp", tcpAddr
 	if unixAddr != "" {
@@ -249,41 +250,18 @@ func runSend(path, tcpAddr, unixAddr, session, tenant string, connTimeout time.D
 	if addr == "" {
 		return fmt.Errorf("-send needs a daemon address via -tcp or -unix")
 	}
+	if session == "" && tenant != "" {
+		return fmt.Errorf("-tenant needs -session (an empty session id is a one-shot stream, which takes no tenant)")
+	}
+	if session == "" && cut != 0 {
+		return fmt.Errorf("-cut needs -session (a one-shot stream cannot resume)")
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if session != "" {
-		return sendSession(f, path, network, addr, session, tenant, connTimeout, cut)
-	}
-	if cut != 0 {
-		return fmt.Errorf("-cut needs -session (the raw protocol cannot resume)")
-	}
-	pol := core.DefaultBackoff
-	var conn net.Conn
-	for attempt := 1; ; attempt++ {
-		conn, err = net.DialTimeout(network, addr, connTimeout)
-		if err == nil {
-			break
-		}
-		if attempt >= pol.Attempts {
-			return fmt.Errorf("dialing %s %s: %w", network, addr, err)
-		}
-		d := sendJitter(pol.Base(attempt))
-		fmt.Fprintf(os.Stderr, "blapd: dial %s %s failed (%v); retry in %s\n", network, addr, err, d)
-		time.Sleep(d)
-	}
-	defer conn.Close()
-	n, err := io.Copy(conn, f)
-	if err != nil {
-		if n > 0 {
-			return fmt.Errorf("%w: %d bytes of %s delivered before the raw stream died: %v", errPartialSend, n, path, err)
-		}
-		return fmt.Errorf("streaming %s: %w", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "blapd: sent %d bytes from %s to %s %s\n", n, path, network, addr)
-	return nil
+	return sendSession(f, path, network, addr, session, tenant, connTimeout, cut)
 }
 
 // finWaitTimeout bounds how long a session send waits, after writing
@@ -294,12 +272,15 @@ func runSend(path, tcpAddr, unixAddr, session, tenant string, connTimeout time.D
 // claiming success it cannot confirm.
 const finWaitTimeout = 2 * time.Minute
 
-// sendSession runs the resumable transfer loop: dial with the session
-// handshake, seek to the daemon's hello offset, stream chunks, and on
-// any transport failure reconnect with backoff and resume. `fails`
-// counts consecutive attempts without forward progress; it resets
-// whenever the daemon's acknowledged offset advances, so a flaky link
-// that still moves bytes never exhausts the retry budget.
+// sendSession runs the transfer loop: dial with the session handshake,
+// seek to the daemon's hello offset, stream chunks, and on any
+// transport failure reconnect with backoff and resume. `fails` counts
+// consecutive attempts without forward progress; it resets whenever the
+// daemon's acknowledged offset advances, so a flaky link that still
+// moves bytes never exhausts the retry budget. An empty session is a
+// one-shot stream: a failed dial still retries, but once payload bytes
+// are written a redial would start a second stream and duplicate its
+// findings, so a failure then is a partial send.
 //
 // The daemon acks delivery progress on the same connection, and the
 // client MUST drain those acks: closing a TCP socket with unread data
@@ -316,14 +297,18 @@ func sendSession(f *os.File, path, network, addr, session, tenant string, connTi
 		fails     int
 		cutArmed  = cut > 0
 	)
+	what := "one-shot stream"
+	if session != "" {
+		what = fmt.Sprintf("session %q", session)
+	}
 	for {
 		conn, hello, err := sentinel.DialSession(network, addr, session, tenant, connTimeout)
 		if err != nil {
 			fails++
 			if fails >= pol.Attempts {
 				if delivered > 0 || pushed > 0 {
-					return fmt.Errorf("%w: %d bytes of %s pushed (daemon confirmed offset %d) under session %q: %v",
-						errPartialSend, pushed, path, delivered, session, err)
+					return fmt.Errorf("%w: %d bytes of %s pushed (daemon confirmed offset %d) under %s: %v",
+						errPartialSend, pushed, path, delivered, what, err)
 				}
 				return fmt.Errorf("dialing %s %s: %w", network, addr, err)
 			}
@@ -388,15 +373,15 @@ func sendSession(f *os.File, path, network, addr, session, tenant string, connTi
 		}
 		if finSent {
 			if drainErr == nil {
-				fmt.Fprintf(os.Stderr, "blapd: sent %d bytes from %s to %s %s (session %q, stream %d, resumed from offset %d)\n",
-					n, path, network, addr, session, stream, hello.Offset)
+				fmt.Fprintf(os.Stderr, "blapd: sent %d bytes from %s to %s %s (%s, stream %d, resumed from offset %d)\n",
+					n, path, network, addr, what, stream, hello.Offset)
 				return nil
 			}
 			// Fin went out but the daemon never confirmed the stream end.
 			// Reconnecting could land on a completed session and restream
 			// from zero, so report the partial delivery instead.
-			return fmt.Errorf("%w: fin sent for %s but the daemon did not confirm the stream end (confirmed offset %d) under session %q: %v",
-				errPartialSend, path, delivered, session, drainErr)
+			return fmt.Errorf("%w: fin sent for %s but the daemon did not confirm the stream end (confirmed offset %d) under %s: %v",
+				errPartialSend, path, delivered, what, drainErr)
 		}
 		if errors.Is(err, faults.ErrCut) {
 			// The -cut test hook fired: an intentional mid-send death, not a
@@ -406,9 +391,9 @@ func sendSession(f *os.File, path, network, addr, session, tenant string, connTi
 			continue
 		}
 		fails++
-		if fails >= pol.Attempts {
-			return fmt.Errorf("%w: %d bytes of %s pushed (daemon confirmed offset %d) under session %q: %v",
-				errPartialSend, pushed, path, delivered, session, err)
+		if fails >= pol.Attempts || (session == "" && pushed > 0) {
+			return fmt.Errorf("%w: %d bytes of %s pushed (daemon confirmed offset %d) under %s: %v",
+				errPartialSend, pushed, path, delivered, what, err)
 		}
 		d := sendJitter(pol.Base(fails))
 		fmt.Fprintf(os.Stderr, "blapd: session send died (%v); reconnecting in %s\n", err, d)

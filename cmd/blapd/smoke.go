@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -31,8 +30,8 @@ const smokeStreams = 4
 // runSmoke is blapd's self-contained end-to-end check, wired into
 // scripts/verify.sh: start a server on ephemeral sockets, stream a
 // synthesized capture through the Unix socket over several concurrent
-// connections like real clients, and verify every stream's live JSONL
-// events match a batch forensics.Analyze of the same capture — plus
+// one-shot sessions like real clients, and verify every stream's live
+// JSONL events match a batch forensics.Analyze of the same capture — plus
 // that /metrics reports per-shard counters that sum to the aggregate,
 // and /healthz answers sanely.
 func runSmoke(log io.Writer, shards int) error {
@@ -99,14 +98,24 @@ func runSmoke(log io.Writer, shards int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := net.Dial("unix", s.UnixAddr())
+			// A one-shot session: the capture, the fin, then a read to EOF,
+			// which the daemon sends once the stream has ended.
+			conn, _, err := sentinel.DialSession("unix", s.UnixAddr(), "", "", 5*time.Second)
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer conn.Close()
-			if _, err := conn.Write(capture.Bytes()); err != nil {
+			if _, err := sentinel.WriteSessionBytes(conn, capture.Bytes()); err != nil {
 				errs <- fmt.Errorf("streaming capture: %w", err)
+				return
+			}
+			if err := sentinel.WriteSessionFin(conn); err != nil {
+				errs <- fmt.Errorf("fin: %w", err)
+				return
+			}
+			if _, err := io.Copy(io.Discard, conn); err != nil {
+				errs <- fmt.Errorf("waiting for the stream end: %w", err)
 			}
 		}()
 	}

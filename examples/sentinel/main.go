@@ -10,8 +10,8 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
-	"net"
 	"os"
 	"path/filepath"
 	"time"
@@ -55,11 +55,19 @@ func main() {
 
 	// Stream the capture like a live client; findings print as they fire.
 	fmt.Println("== JSONL event stream (what blapd emits) ==")
-	conn, err := net.Dial("unix", srv.UnixAddr())
+	// An empty session id opens a one-shot stream; the fin marks its end,
+	// and the daemon closes the connection once the stream has ended.
+	conn, _, err := sentinel.DialSession("unix", srv.UnixAddr(), "", "", 5*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := conn.Write(capture); err != nil {
+	if _, err := sentinel.WriteSessionBytes(conn, capture); err != nil {
+		log.Fatal(err)
+	}
+	if err := sentinel.WriteSessionFin(conn); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
 		log.Fatal(err)
 	}
 	conn.Close()

@@ -109,16 +109,20 @@ func chunk(payload string) []byte {
 
 // FuzzSessionHandshake feeds arbitrary bytes (what follows the protocol
 // magic on a session connection) through a net.Pipe into the handshake
-// parser and then the chunk reader. An accepted handshake must carry a
-// non-empty id and in-cap id and tenant and re-encode to exactly the
-// bytes it consumed; the reader must then deliver exactly the reference
-// chunk decoding of the rest, ending cleanly only on a fin chunk.
+// parser and then the chunk reader. An accepted handshake must carry an
+// in-cap id and tenant, an empty id only with an empty tenant (a
+// one-shot stream), and re-encode to exactly the bytes it consumed; the
+// reader must then deliver exactly the reference chunk decoding of the
+// rest, ending cleanly only on a fin chunk. A one-shot stream's reader
+// runs without a session entry, so it must end at the first transport
+// error without parking.
 func FuzzSessionHandshake(f *testing.F) {
 	fin := chunk("")
 	for _, c := range []struct{ sid, tenant string }{
 		{"s9", ""},
 		{"bench-0", "tenant-a"},
 		{strings.Repeat("i", maxSessionID), strings.Repeat("t", maxTenantLen)},
+		{"", ""},
 	} {
 		hs := dialHandshake(f, c.sid, c.tenant)
 		f.Add(hs)
@@ -127,7 +131,7 @@ func FuzzSessionHandshake(f *testing.F) {
 		f.Add(bytes.Join([][]byte{hs, chunk("cut"), {9, 0, 0, 0, 'x'}}, nil))
 		f.Add(append(hs, binary.LittleEndian.AppendUint32(nil, maxSessionChunk+1)...))
 	}
-	f.Add([]byte{sessionVersion, 0, 0, 0, 0})
+	f.Add([]byte{sessionVersion, 0, 0, 1, 0, 't'}) // empty id with a tenant
 	f.Add([]byte{2, 1, 0, 'a', 0, 0})
 
 	// Resume disabled: a transport error ends the read instead of
@@ -151,15 +155,19 @@ func FuzzSessionHandshake(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if sid == "" || len(sid) > maxSessionID || len(tenant) > maxTenantLen {
-			t.Fatalf("accepted id %q (%d bytes), tenant %d bytes", sid, len(sid), len(tenant))
+		if (sid == "" && tenant != "") || len(sid) > maxSessionID || len(tenant) > maxTenantLen {
+			t.Fatalf("accepted id %q (%d bytes), tenant %q (%d bytes)", sid, len(sid), tenant, len(tenant))
 		}
 		hs := encodeHandshake(sid, tenant)
 		if !bytes.HasPrefix(data, hs) {
 			t.Fatalf("accepted (%q, %q) does not re-encode to the consumed prefix of %q", sid, tenant, data)
 		}
 
-		r := newSessionReader(s, &streamState{ent: &sessionEntry{}}, srvEnd, 0)
+		st := &streamState{ent: &sessionEntry{}}
+		if sid == "" {
+			st = &streamState{} // one-shot: no entry to park on
+		}
+		r := newSessionReader(s, st, srvEnd, 0)
 		got, rerr := io.ReadAll(r)
 		want, clean := chunkPayload(data[len(hs):])
 		if !bytes.Equal(got, want) {

@@ -1,10 +1,12 @@
 // Package sentinel is the live side of the forensic analyzer: a
 // long-running ingestion server that accepts btsnoop streams over TCP
-// and Unix sockets (plus arbitrary io.Readers for one-shot use), runs
-// the incremental forensics.Detector per connection as bytes arrive,
-// and emits findings as JSONL events the moment the session reducer
-// produces them — while the capture is still being written, which is
-// the only time the paper's attack signatures are actionable.
+// and Unix sockets, every one framed as a session (see session.go; an
+// empty session id is a one-shot stream), plus arbitrary io.Readers for
+// one-shot use through Ingest. It runs the incremental
+// forensics.Detector per connection as bytes arrive, and emits findings
+// as JSONL events the moment the session reducer produces them — while
+// the capture is still being written, which is the only time the
+// paper's attack signatures are actionable.
 //
 // Parity by construction: every stream is fed through the same Detector
 // that forensics.Analyze wraps, so the events a live socket produces are
@@ -38,10 +40,12 @@
 // discipline as the PR 2 batch pipeline's bounded window.
 //
 // Failure is classified, not swallowed: a stream that ends on a record
-// boundary is "clean", one that dies mid-record is "truncated" (with the
-// byte offset where it died), corrupt length framing is "bad-framing",
-// and an idle client is "timeout" — so operators can tell a closed phone
-// log from a mangled capture from a hung uploader.
+// boundary is "clean" (a socket stream only with its fin chunk), one
+// that dies mid-record or whose transport dies before the fin is
+// "truncated" (with the byte offset where it died), corrupt length
+// framing is "bad-framing", and an idle client is "timeout" — so
+// operators can tell a closed phone log from a mangled capture from a
+// hung uploader.
 package sentinel
 
 import (
@@ -143,13 +147,14 @@ type Config struct {
 	// byte-deterministic across runs.
 	Timestamps bool
 
-	// ResumeGrace is how long a session-protocol stream survives the
-	// death of its transport: the pipeline parks (scanner tail, detector
-	// state, counters intact) and a reconnect with the same session id
-	// within the window resumes it mid-capture. Cold entries restored
-	// from checkpoints by RecoverSessions expire on the same clock.
-	// Default 2m; <0 disables parking (a transport cut ends the stream
-	// as "truncated", like the raw protocol).
+	// ResumeGrace is how long a named session survives the death of its
+	// transport: the pipeline parks (scanner tail, detector state,
+	// counters intact) and a reconnect with the same session id within
+	// the window resumes it mid-capture. Cold entries restored from
+	// checkpoints by RecoverSessions expire on the same clock. Default
+	// 2m; <0 disables parking, so a transport cut ends the stream as
+	// "truncated" — as it always does for a one-shot stream (empty
+	// session id), which never parks.
 	ResumeGrace time.Duration
 	// CheckpointEvery is the capture-byte interval between periodic
 	// detector checkpoints for session streams (persisted through the
@@ -261,9 +266,9 @@ type streamState struct {
 	findings     atomic.Uint64
 	dropped      atomic.Uint64
 	lastActive   atomic.Int64 // unix nanos of the last ingested record
-	// session/tenant/ent bind a session-protocol stream to its entry in
-	// the session table (empty/nil for raw streams). Immutable once the
-	// pipeline starts.
+	// session/tenant/ent bind a named session to its entry in the
+	// session table (empty/nil for one-shot streams and Ingest).
+	// Immutable once the pipeline starts.
 	session string
 	tenant  string
 	ent     *sessionEntry
@@ -656,7 +661,7 @@ func (s *Server) acceptLoop(ln net.Listener, proto string) {
 				// slot while its goroutines are still stuck. The defer here
 				// only backstops panics on the teardown path itself.
 				defer st.release()
-				// Register before sniffing the protocol: the stream occupies
+				// Register before reading the handshake: the stream occupies
 				// its slot (and shows in streams_active) from accept, even
 				// while a slow client dribbles out the handshake.
 				s.register(st)
@@ -1294,19 +1299,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		_ = os.Remove(s.cfg.UnixAddr)
 	}
 	return err
-}
-
-// deadlineReader arms a fresh read deadline before every read, so the
-// timeout is per-delivery (an active stream never expires) rather than
-// per-connection.
-type deadlineReader struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (r deadlineReader) Read(p []byte) (int, error) {
-	if r.timeout > 0 {
-		_ = r.conn.SetReadDeadline(time.Now().Add(r.timeout))
-	}
-	return r.conn.Read(p)
 }

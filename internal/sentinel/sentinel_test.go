@@ -90,13 +90,13 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 // TestConcurrentStreamsMatchBatch is the subsystem's acceptance test:
-// many concurrent clients stream synthesized captures over real TCP and
-// Unix sockets — enough of them that every event shard carries several
-// streams at once — and for every stream the live finding events must
-// equal the batch forensics.Analyze findings over the same records:
-// kind, frame, sequence, peer, and detail, record for record, in
-// per-stream order even though four shard writers interleave their
-// batches on the shared output.
+// many concurrent clients stream synthesized captures as one-shot
+// sessions over real TCP and Unix sockets — enough of them that every
+// event shard carries several streams at once — and for every stream
+// the live finding events must equal the batch forensics.Analyze
+// findings over the same records: kind, frame, sequence, peer, and
+// detail, record for record, in per-stream order even though four shard
+// writers interleave their batches on the shared output.
 func TestConcurrentStreamsMatchBatch(t *testing.T) {
 	const clients = 64 // several streams per shard, per the acceptance bar
 
@@ -128,13 +128,7 @@ func TestConcurrentStreamsMatchBatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := net.Dial(network, addr)
-			if err != nil {
-				t.Errorf("dial %s: %v", network, err)
-				return
-			}
-			defer conn.Close()
-			if _, err := conn.Write(data); err != nil {
+			if _, err := sendOneShot(network, addr, data, true); err != nil {
 				t.Errorf("stream %s: %v", network, err)
 			}
 		}()
@@ -286,14 +280,11 @@ func TestReadTimeoutClassifiesHungClient(t *testing.T) {
 		OnStreamEnd: func(sum StreamSummary) { ends <- sum },
 	})
 	data := synthCapture(t, 100, 5)
-	conn, err := net.Dial("tcp", s.TCPAddr())
+	conn, err := sendOneShot("tcp", s.TCPAddr(), data[:len(data)/2], false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(data[:len(data)/2]); err != nil {
-		t.Fatal(err)
-	}
 	select {
 	case sum := <-ends:
 		if sum.Status != StatusTimeout {
@@ -366,15 +357,12 @@ func TestShutdownDrains(t *testing.T) {
 	}
 
 	// A stream that will never finish on its own.
-	conn, err := net.Dial("tcp", s.TCPAddr())
+	data := synthCapture(t, 200, 6)
+	conn, err := sendOneShot("tcp", s.TCPAddr(), data[:len(data)-5], false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	data := synthCapture(t, 200, 6)
-	if _, err := conn.Write(data[:len(data)-5]); err != nil {
-		t.Fatal(err)
-	}
 	waitFor(t, "stream registered", func() bool { return s.Snapshot().StreamsActive == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
@@ -410,14 +398,9 @@ func TestIngestBoundedMemory(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
+	if _, err := sendOneShot("unix", sock, data, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
 	sum := <-ends
 	runtime.ReadMemStats(&after)
 

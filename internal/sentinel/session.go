@@ -17,31 +17,35 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Session resume protocol.
+// Wire protocol.
 //
-// A connection whose first eight bytes are sessionMagic speaks the
-// resumable framing instead of raw btsnoop: after the magic comes a
-// one-byte protocol version, a little-endian u16 session-id length and
-// the id bytes, and a u16 tenant length and the tenant bytes. The
-// server answers with a session-hello JSONL line on the connection
-// carrying the stream id and the capture byte offset it already holds;
-// the client seeks its capture to that offset and sends payload as
-// u32-LE length-prefixed chunks, a zero-length chunk marking the clean
-// end. The server acks delivery progress (session-ack lines, every
+// Every socket stream is a session; there is no other framing. A
+// connection opens with the eight bytes of sessionMagic, a one-byte
+// protocol version, a little-endian u16 session-id length and the id
+// bytes, and a u16 tenant length and the tenant bytes. The server
+// answers with a session-hello JSONL line on the connection carrying
+// the stream id and the capture byte offset it already holds; the
+// client seeks its capture to that offset and sends payload as u32-LE
+// length-prefixed chunks, a zero-length chunk marking the clean end.
+// The server acks delivery progress (session-ack lines, every
 // Config.AckEvery payload bytes, best effort) on the same connection.
 //
-// When the transport dies mid-stream the server parks the pipeline —
-// scanner tail, detector state, counters, everything — for
-// Config.ResumeGrace, keyed by the session id. A reconnect with the
-// same id adopts the parked pipeline: the hello tells the client where
-// to resume, and the findings the merged run emits are byte-identical
-// to an uninterrupted ingest of the same capture (the chaos
-// differential in chaos.go sweeps a cut at every payload offset to pin
-// exactly that). A restart survives too: periodic detector checkpoints
-// land in the store, RecoverSessions rebuilds parkable entries from
-// them, and a reconnect restores the detector from the checkpoint (the
-// hello then points at the checkpoint offset, which is always a record
-// boundary).
+// An empty session id (and no tenant) is a one-shot stream: resume
+// disabled, no session-table entry, no tenant slot, no checkpoints. A
+// transport cut ends it "truncated"; only the fin ends it "clean".
+//
+// A named session is resumable. When the transport dies mid-stream the
+// server parks the pipeline — scanner tail, detector state, counters,
+// everything — for Config.ResumeGrace, keyed by the session id. A
+// reconnect with the same id adopts the parked pipeline: the hello tells
+// the client where to resume, and the findings the merged run emits are
+// byte-identical to an uninterrupted ingest of the same capture (the
+// chaos differential in chaos.go sweeps a cut at every payload offset to
+// pin exactly that). A restart survives too: periodic detector
+// checkpoints land in the store, RecoverSessions rebuilds parkable
+// entries from them, and a reconnect restores the detector from the
+// checkpoint (the hello then points at the checkpoint offset, which is
+// always a record boundary).
 const (
 	sessionMagic   = "blapses1"
 	sessionVersion = 1
@@ -108,56 +112,28 @@ type sessionEntry struct {
 	ckpt *ckptDoc
 }
 
-// handleConn owns one accepted ingestion connection: it sniffs the
-// first eight bytes to pick the protocol — sessionMagic selects the
-// resumable session framing, anything else (including a short or dead
-// stream) replays the sniffed bytes into the classic raw-btsnoop
-// pipeline so pre-session clients see byte-identical classification.
-// st is the provisional stream registered at accept time.
+// handleConn owns one accepted ingestion connection. There is one
+// protocol: a connection that does not open with sessionMagic (a bare
+// btsnoop capture, a short or silent stream) is rejected with a
+// stream-rejected event naming the missing handshake; routeSession
+// takes the rest, an empty session id being a one-shot stream. st is
+// the provisional stream registered at accept time.
 func (s *Server) handleConn(st *streamState, conn net.Conn) {
-	var pre [len(sessionMagic)]byte
+	var magic [len(sessionMagic)]byte
 	if t := s.cfg.ReadTimeout; t > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(t))
 	}
-	n, err := io.ReadFull(conn, pre[:])
+	_, err := io.ReadFull(conn, magic[:])
 	_ = conn.SetReadDeadline(time.Time{})
-	if err == nil && string(pre[:]) == sessionMagic {
-		s.routeSession(st, conn)
+	if err != nil || string(magic[:]) != sessionMagic {
+		s.rejectSession(st, conn, "", fmt.Sprintf("no session handshake: a stream must open with %q", sessionMagic))
 		return
 	}
-	if err == io.ErrUnexpectedEOF {
-		// A raw conn.Read never reports ErrUnexpectedEOF; the sniff's
-		// ReadFull synthesized it from a short delivery plus EOF. Convert
-		// back so the scanner classifies exactly as it did pre-sniff.
-		err = io.EOF
-	}
-	r := &prefixReader{pre: pre[:n], err: err,
-		r: deadlineReader{conn: conn, timeout: s.cfg.ReadTimeout}}
-	s.runPipeline(st, r, nil)
+	s.routeSession(st, conn)
 }
 
-// prefixReader replays sniffed bytes, then the sniff's terminal error
-// (sticky), then the live transport — splicing the protocol sniff out
-// of the raw pipeline's view of the stream.
-type prefixReader struct {
-	pre []byte
-	err error
-	r   io.Reader
-}
-
-func (p *prefixReader) Read(b []byte) (int, error) {
-	if len(p.pre) > 0 {
-		n := copy(b, p.pre)
-		p.pre = p.pre[n:]
-		return n, nil
-	}
-	if p.err != nil {
-		return 0, p.err
-	}
-	return p.r.Read(b)
-}
-
-// readSessionHandshake parses the post-magic handshake fields.
+// readSessionHandshake parses the post-magic handshake fields. An empty
+// id is accepted only with an empty tenant: it names a one-shot stream.
 func (s *Server) readSessionHandshake(conn net.Conn) (sid, tenant string, err error) {
 	if t := s.cfg.ReadTimeout; t > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(t))
@@ -190,11 +166,11 @@ func (s *Server) readSessionHandshake(conn net.Conn) (sid, tenant string, err er
 	if sid, err = readStr(maxSessionID, "id"); err != nil {
 		return "", "", err
 	}
-	if sid == "" {
-		return "", "", fmt.Errorf("session id must not be empty")
-	}
 	if tenant, err = readStr(maxTenantLen, "tenant"); err != nil {
 		return "", "", err
+	}
+	if sid == "" && tenant != "" {
+		return "", "", fmt.Errorf("session tenant %q needs a session id (an empty id is a one-shot stream)", tenant)
 	}
 	return sid, tenant, nil
 }
@@ -215,13 +191,21 @@ func (s *Server) rejectSession(st *streamState, conn net.Conn, sid, reason strin
 }
 
 // routeSession binds a handshaken connection to the session table:
-// fresh id → new pipeline; cold id → restore the checkpointed detector
-// and resume mid-capture; live or parked id → hand the transport to the
-// existing pipeline (latest connection wins).
+// empty id → a one-shot pipeline outside the table; fresh id → new
+// pipeline; cold id → restore the checkpointed detector and resume
+// mid-capture; live or parked id → hand the transport to the existing
+// pipeline (latest connection wins).
 func (s *Server) routeSession(st *streamState, conn net.Conn) {
 	sid, tenant, err := s.readSessionHandshake(conn)
 	if err != nil {
 		s.rejectSession(st, conn, "", err.Error())
+		return
+	}
+	if sid == "" {
+		// One-shot: st.ent stays nil, so park ends the stream at the first
+		// transport error and the st.session gates skip checkpoints.
+		_ = writeConnEvent(conn, Event{Type: EventSessionHello, Stream: st.id})
+		s.runPipeline(st, newSessionReader(s, st, conn, 0), nil)
 		return
 	}
 	s.sessMu.Lock()
@@ -500,12 +484,15 @@ func (r *sessionReader) maybeAck() {
 // park suspends the stream after a transport error. It returns
 // (true, nil) once a replacement connection was adopted, or
 // (false, err) with the error that must end the stream: ErrAborted for
-// shutdown, io.ErrUnexpectedEOF when the grace window expired (the
-// capture is then truncated at the death offset, exactly as if the raw
-// protocol had died there).
+// shutdown, io.ErrUnexpectedEOF for a one-shot stream (no entry to park
+// on) or when the grace window expired — the capture is then truncated
+// at the death offset.
 func (r *sessionReader) park() (bool, error) {
 	s, st := r.s, r.st
 	ent := st.ent
+	if ent == nil {
+		return false, io.ErrUnexpectedEOF
+	}
 	adopt := func(c net.Conn) (bool, error) {
 		r.adopt(c)
 		s.sess.resumed.Add(1)
@@ -796,18 +783,23 @@ type SessionHello struct {
 	Offset int64
 }
 
-// DialSession opens a resumable ingestion session: it dials the
-// server, performs the session handshake (id and optional tenant), and
-// returns the connection plus the server's hello. On a fresh session
-// the hello offset is 0; on a resume it is where to seek the capture
-// before streaming with WriteSessionChunks. timeout bounds the dial and
-// the handshake round trip; <=0 means no deadline.
+// DialSession opens an ingestion session: it dials the server,
+// performs the session handshake (id and optional tenant), and returns
+// the connection plus the server's hello. On a fresh session the hello
+// offset is 0; on a resume it is where to seek the capture before
+// streaming with WriteSessionChunks. An empty session (with an empty
+// tenant) opens a one-shot stream: resume disabled, so a cut before the
+// fin ends it truncated. timeout bounds the dial and the handshake round
+// trip; <=0 means no deadline.
 func DialSession(network, addr, session, tenant string, timeout time.Duration) (net.Conn, SessionHello, error) {
-	if len(session) == 0 || len(session) > maxSessionID {
-		return nil, SessionHello{}, fmt.Errorf("sentinel: session id length %d (want 1..%d)", len(session), maxSessionID)
+	if len(session) > maxSessionID {
+		return nil, SessionHello{}, fmt.Errorf("sentinel: session id length %d exceeds %d", len(session), maxSessionID)
 	}
 	if len(tenant) > maxTenantLen {
 		return nil, SessionHello{}, fmt.Errorf("sentinel: tenant length %d exceeds %d", len(tenant), maxTenantLen)
+	}
+	if session == "" && tenant != "" {
+		return nil, SessionHello{}, fmt.Errorf("sentinel: tenant %q needs a session id (an empty id is a one-shot stream)", tenant)
 	}
 	conn, err := net.DialTimeout(network, addr, timeout)
 	if err != nil {

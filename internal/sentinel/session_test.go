@@ -3,14 +3,17 @@ package sentinel
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/forensics"
 	"repro/internal/snoop"
 	"repro/internal/tsdb"
 )
@@ -518,13 +521,10 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	s := startServer(t, cfg)
 
-	// First stream: the victim. Raw protocol; id is nextID+1.
+	// First stream: the victim. A one-shot session; id is nextID+1.
 	victim.Store(s.nextID.Load() + 1)
-	conn, err := netDial(t, s.TCPAddr())
+	conn, err := sendOneShot("tcp", s.TCPAddr(), capture, false)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(capture); err != nil {
 		t.Fatal(err)
 	}
 
@@ -586,14 +586,11 @@ func TestWatchdogForceFailsWedgedDetector(t *testing.T) {
 	s := startServer(t, cfg)
 
 	victim.Store(s.nextID.Load() + 1)
-	conn, err := netDial(t, s.TCPAddr())
+	conn, err := sendOneShot("tcp", s.TCPAddr(), capture, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(capture); err != nil {
-		t.Fatal(err)
-	}
 
 	var vsum StreamSummary
 	select {
@@ -671,10 +668,30 @@ func TestTenantQuota(t *testing.T) {
 	})
 }
 
-// netDial connects a raw (non-session) test client.
-func netDial(t *testing.T, addr string) (net.Conn, error) {
-	t.Helper()
-	return net.DialTimeout("tcp", addr, 5*time.Second)
+// sendOneShot opens a one-shot session (empty id) and streams data over
+// it. With fin it then writes the fin marker and reads to EOF, which the
+// daemon sends once the stream has ended, before closing: over TCP a
+// close with unread acks resets the connection and destroys capture
+// bytes the daemon has not read yet (DESIGN §14). Without fin the
+// connection is left open for the caller to hang, cut or close.
+func sendOneShot(network, addr string, data []byte, fin bool) (net.Conn, error) {
+	conn, _, err := DialSession(network, addr, "", "", 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := WriteSessionBytes(conn, data); err != nil {
+		_ = conn.Close()
+		return nil, err
+	}
+	if !fin {
+		return conn, nil
+	}
+	if err = WriteSessionFin(conn); err == nil {
+		_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+		_, err = io.Copy(io.Discard, conn)
+	}
+	_ = conn.Close()
+	return conn, err
 }
 
 func TestWriteSessionBytesWireParity(t *testing.T) {
@@ -702,5 +719,126 @@ func TestWriteSessionBytesWireParity(t *testing.T) {
 		if !bytes.Equal(chunked.Bytes(), direct.Bytes()) {
 			t.Fatalf("size %d: wire bytes differ", n)
 		}
+	}
+}
+
+// TestRawCaptureRejected: every socket stream is a session. A bare
+// btsnoop capture written to the listener without the handshake is
+// rejected with a stream-rejected event that names the handshake; it is
+// never analyzed (no stream-start), the rejection is counted, and the
+// slot is free again.
+func TestRawCaptureRejected(t *testing.T) {
+	out := &syncBuffer{}
+	s := startServer(t, Config{TCPAddr: "127.0.0.1:0", Output: out})
+	conn, err := net.DialTimeout("tcp", s.TCPAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The daemon closes the connection after reading the would-be magic,
+	// so the tail of this write may fail; the outcome is checked below.
+	_, _ = conn.Write(synthCapture(t, 500, 4))
+
+	waitFor(t, "stream-rejected event", func() bool {
+		return bytes.Contains(out.Lines(), []byte(`"type":"stream-rejected"`))
+	})
+	waitFor(t, "slot released", func() bool { return s.Snapshot().StreamsActive == 0 })
+	var rejected int
+	for _, ev := range parseEvents(t, out.Lines()) {
+		if ev.Type != EventStreamRejected {
+			t.Fatalf("event %+v: a capture without the handshake must not be analyzed", ev)
+		}
+		rejected++
+		if !strings.Contains(ev.Error, "session handshake") {
+			t.Fatalf("rejection reason %q does not name the session handshake", ev.Error)
+		}
+	}
+	if snap := s.Snapshot(); rejected != 1 || snap.StreamsRejected != 1 || snap.StreamsActive != 0 {
+		t.Fatalf("%d stream-rejected events, streams_rejected=%d streams_active=%d; want 1, 1, 0",
+			rejected, snap.StreamsRejected, snap.StreamsActive)
+	}
+}
+
+// TestOneShotEndStatus pins how a one-shot stream (empty session id)
+// ends under the default ResumeGrace. It has no session entry, so it
+// never parks: a transport cut ends it "truncated" at the delivered
+// offset at once, mid-record or at a record boundary alike. Only the
+// fin makes it "clean", with the batch findings.
+func TestOneShotEndStatus(t *testing.T) {
+	capture := synthCapture(t, 2000, 13)
+	out := &syncBuffer{}
+	ends := make(chan StreamSummary, 3)
+	s := startServer(t, Config{
+		TCPAddr:     "127.0.0.1:0",
+		Output:      out,
+		OnStreamEnd: func(sum StreamSummary) { ends <- sum },
+	})
+	// The wait is far below the 2m default grace: a parked stream would
+	// not end in time.
+	end := func(what string) StreamSummary {
+		t.Helper()
+		select {
+		case sum := <-ends:
+			return sum
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: one-shot stream did not end at the transport cut", what)
+			return StreamSummary{}
+		}
+	}
+	cut := func(data []byte) {
+		t.Helper()
+		conn, err := sendOneShot("tcp", s.TCPAddr(), data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+	}
+
+	mid := len(capture) - 7 // inside the last record
+	cut(capture[:mid])
+	if sum := end("mid-record cut"); sum.Status != StatusTruncated ||
+		!errors.Is(sum.Err, io.ErrUnexpectedEOF) || sum.Offset != int64(mid) {
+		t.Fatalf("mid-record cut: %+v, want truncated at offset %d", sum, mid)
+	}
+
+	cut(capture)
+	if sum := end("boundary close"); sum.Status != StatusTruncated ||
+		sum.Offset != int64(len(capture)) || sum.Records != 2000 {
+		t.Fatalf("close at a record boundary without a fin: %+v, want truncated at offset %d with 2000 records",
+			sum, len(capture))
+	}
+
+	if _, err := sendOneShot("tcp", s.TCPAddr(), capture, true); err != nil {
+		t.Fatal(err)
+	}
+	sum := end("fin")
+	if sum.Status != StatusClean || sum.Offset != int64(len(capture)) || sum.Records != 2000 {
+		t.Fatalf("fin: %+v, want clean at offset %d with 2000 records", sum, len(capture))
+	}
+
+	rep, err := forensics.AnalyzeBytes(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []Event
+	for _, ev := range parseEvents(t, out.Lines()) {
+		if ev.Type == EventSessionParked {
+			t.Fatalf("one-shot stream parked: %+v", ev)
+		}
+		if ev.Type == EventFinding && ev.Stream == sum.ID {
+			live = append(live, ev)
+		}
+	}
+	if len(live) != len(rep.Findings) || len(live) == 0 {
+		t.Fatalf("clean one-shot stream emitted %d findings, AnalyzeBytes found %d", len(live), len(rep.Findings))
+	}
+	for i, ev := range live {
+		w := rep.Findings[i]
+		if ev.Frame != w.Frame || ev.Kind != w.Kind || ev.Peer != w.Peer.String() || ev.Detail != w.Detail {
+			t.Fatalf("finding %d:\nlive:  %+v\nbatch: %+v", i, ev, w)
+		}
+	}
+	if p := s.Snapshot().Sessions.ParkedTotal; p != 0 {
+		t.Fatalf("sessions.parked_total = %d after one-shot cuts, want 0", p)
 	}
 }

@@ -172,10 +172,15 @@ base_pid=$!
 wait_addr "$res_dir/base.err"
 "$res_dir/blapd" -send "$res_dir/cap.btsnoop" -tcp "$addr" -session s9
 wait_clean "$res_dir/base.jsonl"
-kill -TERM "$base_pid"
-wait "$base_pid"
 strip_findings "$res_dir/base.jsonl" | sort > "$res_dir/base.findings"
 test -s "$res_dir/base.findings"
+# One-shot send (no -session) to the same daemon: it exits 0 only after
+# the daemon confirmed the stream end, so a second clean stream-end is
+# already on the JSONL channel.
+"$res_dir/blapd" -send "$res_dir/cap.btsnoop" -tcp "$addr"
+[ "$(grep '"type":"stream-end"' "$res_dir/base.jsonl" | grep -c '"status":"clean"')" -eq 2 ]
+kill -TERM "$base_pid"
+wait "$base_pid"
 # Crash run: same configuration, killed -9 mid-ingest.
 "$res_dir/blapd" -tcp 127.0.0.1:0 -store "$res_dir/store_crash" -resume-grace 5m \
     -checkpoint-every 1048576 -ack-every 65536 \
