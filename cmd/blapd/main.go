@@ -22,12 +22,14 @@
 // Every socket stream speaks one protocol, the session framing; an empty
 // session id is a one-shot stream with resume disabled. Clients that
 // pass -session get a resumable stream: if the transport dies mid-send,
-// the daemon parks the stream for -resume-grace and the client
-// reconnects with capped exponential backoff + jitter, resuming from the
-// last byte the daemon acknowledged. With -store the
-// daemon also checkpoints detector state every -checkpoint-every capture
-// bytes, so a killed-and-restarted daemon recovers parked sessions from
-// disk (logged at startup).
+// the stream's pipeline ends and frees its slot, the daemon parks its
+// detector for -resume-grace, and the client reconnects with capped
+// exponential backoff + jitter; the reconnect starts a new pipeline from
+// the parked detector, and the client resumes from the offset the hello
+// names (the last record boundary the detector consumed). With -store
+// the daemon also checkpoints detector state every -checkpoint-every
+// capture bytes, so a killed-and-restarted daemon recovers parked
+// sessions from disk (logged at startup).
 //
 // SIGINT/SIGTERM drain the daemon: listeners close, in-flight streams
 // get -drain-timeout to finish, stragglers are force-closed; parked
@@ -87,7 +89,7 @@ func main() {
 		metricsEvery = flag.Duration("metrics-every", 10*time.Second, "interval between persisted metrics snapshots (negative disables; needs -store)")
 		resumeGrace  = flag.Duration("resume-grace", 0, "how long a disconnected session-protocol stream is parked awaiting resume (0 = 2m default, negative disables parking)")
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "capture-byte interval between detector checkpoints for session streams (0 = 8MiB default, negative disables; needs -store to matter)")
-		ackEvery     = flag.Int64("ack-every", 0, "payload-byte interval between session acks (0 = 1MiB default)")
+		ackEvery     = flag.Int64("ack-every", 0, "payload-byte interval between session acks (0 = 4MiB default)")
 		tenantQuota  = flag.Int("tenant-quota", 0, "max concurrent sessions per tenant, admitted ahead of -max-streams (0 = unlimited)")
 		watchdog     = flag.Duration("watchdog", 0, "force-fail any stream whose detector makes no progress for this long (0 disables)")
 		session      = flag.String("session", "", "with -send: session id for resumable transfer (empty = one-shot stream: same protocol, resume disabled)")

@@ -298,7 +298,7 @@ func runSmoke(log io.Writer, shards int) error {
 
 	// The PR 9 resilience contract: a session-protocol stream whose
 	// transport dies at the capture midpoint parks, resumes under the
-	// same stream id from the daemon's acknowledged offset, and still
+	// same stream id from the offset in the daemon's hello, and still
 	// ends clean with the batch findings — while detector checkpoints
 	// flow through the store.
 	const resumeSID = "smoke-resume"
@@ -314,8 +314,8 @@ func runSmoke(log io.Writer, shards int) error {
 	}
 	_ = rconn.Close()
 	// Wait for the daemon to notice the dead transport and park the
-	// session; reconnecting first would exercise only the fast-adopt
-	// path, and this leg wants to prove a parked stream resumes.
+	// session, so this leg proves a parked stream resumes rather than a
+	// reconnect taking over a still-live transport.
 	for {
 		if snap, err = smokeMetrics(s.HTTPAddr()); err != nil {
 			return err

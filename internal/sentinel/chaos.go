@@ -26,9 +26,12 @@ import (
 // the stream id) to an uninterrupted baseline, and that the merged
 // stream ends clean with the baseline's record/byte/finding totals.
 //
-// One server (unix socket, no store — the differential exercises
-// parking, not checkpoints) serves every trial; each trial uses its own
-// session id, so its events are keyed by its own stream id. logf, when
+// One server (unix socket, no store — the differential exercises the
+// in-process resume path, not checkpoints) serves every trial: each cut
+// parks the stream's drained detector and position, and the reconnect
+// resumes it in a new pipeline from the record boundary the hello names.
+// Each trial uses its own session id, so its events are keyed by its
+// own stream id. logf, when
 // non-nil, receives one progress line per ~64 trials.
 func RunResumeDifferential(data []byte, stride int, logf func(string, ...any)) error {
 	if len(data) == 0 {

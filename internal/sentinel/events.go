@@ -125,7 +125,7 @@ func ClassifyStreamError(err error) string {
 		return StatusTimeout
 	case errors.Is(err, ErrAborted):
 		return StatusAborted
-	case errors.Is(err, io.ErrUnexpectedEOF):
+	case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, errSessionCut):
 		return StatusTruncated
 	default:
 		return StatusError

@@ -207,8 +207,8 @@ type PersistSnapshot struct {
 // SessionsSnapshot is the "sessions" section of /metrics: the resume
 // protocol's lifecycle accounting. Parked is the current gauge;
 // ParkedTotal/Resumed/Expired are cumulative; Checkpoints counts
-// detector checkpoints made durable; Restored counts cold sessions
-// rebuilt from the store at startup.
+// detector checkpoints made durable; Restored counts sessions rebuilt
+// from the store at startup.
 type SessionsSnapshot struct {
 	Parked      int64  `json:"parked"`
 	ParkedTotal uint64 `json:"parked_total"`

@@ -148,11 +148,13 @@ type Config struct {
 	Timestamps bool
 
 	// ResumeGrace is how long a named session survives the death of its
-	// transport: the pipeline parks (scanner tail, detector state,
-	// counters intact) and a reconnect with the same session id within
-	// the window resumes it mid-capture. Cold entries restored from
-	// checkpoints by RecoverSessions expire on the same clock. Default
-	// 2m; <0 disables parking, so a transport cut ends the stream as
+	// transport: the pipeline ends and frees its stream slot, the
+	// session entry keeps the stream's drained detector, counters and
+	// position (parked), and a reconnect with the same session id within
+	// the window resumes it in a new pipeline from the last record
+	// boundary the detector consumed. Entries restored from checkpoints
+	// by RecoverSessions expire on the same clock. Default 2m; <0
+	// disables parking, so a transport cut ends the stream as
 	// "truncated" — as it always does for a one-shot stream (empty
 	// session id), which never parks.
 	ResumeGrace time.Duration
@@ -284,8 +286,9 @@ type streamState struct {
 	// finale classifies the stream "aborted" rather than "error".
 	aborted atomic.Bool
 	// release frees the stream's slot (semaphore + wait group), exactly
-	// once — callable from the pipeline's own exit or from the watchdog
-	// finalizing a wedged stream whose goroutines never exit.
+	// once — callable from the pipeline's own exit, a park, or the
+	// watchdog finalizing a wedged stream whose goroutines never exit. A
+	// parked stream that resumes takes the reconnect's slot and release.
 	release func()
 	// ingest/detect mirror the aggregate latency histograms for this
 	// stream alone (see metrics); fixed ~1.2 KiB per stream.
@@ -682,11 +685,18 @@ func (s *Server) register(st *streamState) {
 	s.connMu.Unlock()
 }
 
+// unregister is idempotent: a parked stream left the set at the park,
+// and its eventual finalize unregisters it again.
 func (s *Server) unregister(st *streamState) {
 	s.connMu.Lock()
-	delete(s.streams, st.id)
+	registered := s.streams[st.id] == st
+	if registered {
+		delete(s.streams, st.id)
+	}
 	s.connMu.Unlock()
-	st.sh.m.streamsActive.Add(-1)
+	if registered {
+		st.sh.m.streamsActive.Add(-1)
+	}
 }
 
 // Ingest feeds one btsnoop stream from an arbitrary reader through the
@@ -728,26 +738,23 @@ const ingestBlockBytes = 256 << 10
 // for the full swept span — the scan-completion clock (the anchor for
 // ingest and detection latency), the stream offset and cumulative frame
 // count after the batch, and the packet-type tally of every record the
-// sweep classified (kept or rejected). An item with ckpt set carries no
-// batch: it is a checkpoint marker the reader pushes when the stream
-// parks, asking the detector side to snapshot its state at exactly this
-// point in the record sequence (the FIFO ring makes the marker pop
-// after every batch that preceded the park, so the snapshot and the
-// offset agree by construction).
+// sweep classified (kept or rejected).
 type ingestItem struct {
 	b        *snoop.RecordBatch
 	at       time.Time
 	off      int64
 	frames   int
 	datalink uint32
-	ckpt     bool
 	tally    packetTally
 }
 
-// resumeState carries a restored pipeline position into runPipeline: a
-// detector rebuilt from a checkpoint and the capture offset, frame
-// count, datalink, and checkpoint sequence it was snapshotted at.
+// resumeState is a stream's position between pipelines: its drained
+// detector and the capture offset, frame count, datalink and checkpoint
+// sequence the detector has consumed up to. A parked stream's st is the
+// stream itself, handed to the next pipeline with its id and counters;
+// a state restored from a checkpoint has no st.
 type resumeState struct {
+	st       *streamState
 	det      *forensics.Detector
 	off      int64
 	frames   int
@@ -780,55 +787,52 @@ type resumeState struct {
 // at worst idles until the detector recycles a batch.
 func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) StreamSummary {
 	sm := &st.sh.m
-	sm.streamsTotal.Add(1)
+	// A parked stream resuming in this process already started.
+	warm := res != nil && res.st != nil
+	if !warm {
+		sm.streamsTotal.Add(1)
+	}
 	st.lastActive.Store(time.Now().UnixNano())
 
 	// 256 KiB blocks: a unix-socket read costs the same syscall whether
 	// it returns 64 KiB or 256 KiB, and larger blocks mean fuller
 	// batches and fewer ring handoffs per captured megabyte.
-	var sc *snoop.BatchScanner
+	sc := snoop.NewBatchScannerSize(r, ingestBlockBytes)
 	var det *forensics.Detector
 	var prevOff int64  // last batch offset the detector consumed
 	var prevFrames int // last batch frame count the detector consumed
 	var ckptSeq uint64 // last checkpoint sequence written for this session
 	var lastCkpt int64 // capture offset of the last checkpoint
 	if res != nil {
-		// Resuming a checkpoint: the scanner starts mid-capture at the
-		// snapshot position, the detector already holds the state, and the
-		// stream's cumulative counters pick up from the snapshot — only
-		// the shard counters stay this-process-only deltas.
-		sc = snoop.ResumeBatchScanner(r, ingestBlockBytes, res.off, res.frames, res.datalink)
+		// Resuming: the scanner starts mid-capture at the detector's
+		// position (a stream cut before its first batch starts over at
+		// the file header), the detector already holds the state, and the
+		// stream's cumulative counters pick up from there — only the shard
+		// counters stay this-process-only deltas.
+		if res.off > 0 {
+			sc = snoop.ResumeBatchScanner(r, ingestBlockBytes, res.off, res.frames, res.datalink)
+		}
 		det = res.det
 		prevOff, prevFrames, ckptSeq, lastCkpt = res.off, res.frames, res.ckptSeq, res.off
 		st.bytes.Store(res.off)
 		st.records.Store(uint64(res.frames))
 		st.findings.Store(det.Findings())
 	} else {
-		sc = snoop.NewBatchScannerSize(r, ingestBlockBytes)
 		det = forensics.NewLiveDetector()
 	}
 
-	start := Event{Type: EventStreamStart, Stream: st.id, Proto: st.proto, Label: st.label, Session: st.session}
-	if res != nil {
-		start.Offset = res.off
+	if !warm {
+		start := Event{Type: EventStreamStart, Stream: st.id, Proto: st.proto, Label: st.label, Session: st.session}
+		if res != nil {
+			start.Offset = res.off
+		}
+		s.emit(st, start)
 	}
-	s.emit(st, start)
 
 	filled := spsc.New[ingestItem](ingestRingDepth)
 	free := spsc.New[*snoop.RecordBatch](ingestRingDepth)
 	for i := 0; i < ingestRingDepth; i++ {
 		free.TryPush(&snoop.RecordBatch{})
-	}
-
-	// A parking session reader pushes a checkpoint marker through the
-	// batch ring from inside Read — it runs on the reader goroutine, the
-	// ring's producer, so the push is legal and FIFO order puts the
-	// marker exactly after the records that preceded the park.
-	if sr, ok := r.(*sessionReader); ok {
-		sr.onPark = func() {
-			filled.Push(ingestItem{ckpt: true, at: time.Now(),
-				off: sc.Offset(), frames: sc.Frame(), datalink: sc.Datalink()})
-		}
 	}
 
 	// residual carries what the reader's final, failed scan call swept
@@ -894,18 +898,6 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 				return
 			}
 			st.beat.Start()
-			if it.ckpt {
-				// Park marker: snapshot the detector at the marker position.
-				// Drain defensively first (SnapshotState requires it) and emit
-				// anything that surfaces so no finding is ever lost to a park.
-				if evs := det.Drain(); len(evs) > 0 {
-					s.emitFindings(st, evs)
-				}
-				s.queueCheckpoint(st, det, it.off, it.frames, it.datalink, &ckptSeq, true)
-				lastCkpt = it.off
-				st.beat.Stop()
-				continue
-			}
 			if hook := s.cfg.beforeBatch; hook != nil {
 				hook(st.id)
 			}
@@ -957,20 +949,15 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 	}()
 	if detPanic != nil {
 		// The detector died mid-stream; the reader may be blocked on
-		// free.Pop, on filled.Push, or parked waiting for a reconnect.
-		// Close the free ring, kill the transport, abort the session, and
-		// drain the filled ring until the reader's defer closes it.
+		// free.Pop, on filled.Push, or on the transport. Close the free
+		// ring, kill the transport, and drain the filled ring until the
+		// reader's defer closes it.
 		free.Close()
 		s.connMu.Lock()
 		if st.conn != nil {
 			_ = st.conn.Close()
 		}
 		s.connMu.Unlock()
-		if st.ent != nil {
-			s.sessMu.Lock()
-			abortEntryLocked(st.ent)
-			s.sessMu.Unlock()
-		}
 		for {
 			if _, ok := filled.Pop(); !ok {
 				break
@@ -1012,34 +999,49 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 		status = ClassifyStreamError(err)
 	}
 
-	// Final checkpoint bookkeeping for session streams. Skipped entirely
-	// if the watchdog already finalized this stream — a wedged detector's
-	// state is suspect, so the last periodic checkpoint stays the durable
-	// resume point.
+	pos := &resumeState{st: st, det: det, off: prevOff, frames: prevFrames,
+		datalink: sc.Datalink(), ckptSeq: ckptSeq}
+	if status == StatusTruncated && errors.Is(endErr, errSessionCut) {
+		if s.parkStream(pos) {
+			// Not an end: the session entry holds the stream for a reconnect.
+			return StreamSummary{ID: st.id, Proto: st.proto, Label: st.label}
+		}
+		if s.draining.Load() {
+			status, endErr = StatusAborted, fmt.Errorf("%w: %v", ErrAborted, endErr)
+		}
+	}
+	return s.endStream(pos, records, offset, status, endErr)
+}
+
+// endStream ends a stream for good; records and offset are what its
+// summary reports, pos is its detector's position. A session stream
+// first settles its checkpoints: an aborted one is checkpointed at pos
+// so a restarted daemon resumes it, and any other end with checkpoints
+// on disk gets a tombstone so a restart does not resurrect it. Skipped
+// if the watchdog already finalized the stream — a wedged detector's
+// state is suspect, so the last periodic checkpoint stays the durable
+// resume point.
+func (s *Server) endStream(pos *resumeState, records int, offset int64, status string, err error) StreamSummary {
+	st := pos.st
 	if st.session != "" && st.sh.persist != nil && !st.finalized.Load() {
 		switch {
 		case status == StatusAborted:
-			// Shutdown mid-stream: persist the detector as of the last
-			// consumed batch so a restarted daemon resumes this session.
-			s.queueCheckpoint(st, det, prevOff, prevFrames, sc.Datalink(), &ckptSeq, true)
-		case ckptSeq > 0:
-			// Any other terminal status with checkpoints on disk gets a
-			// tombstone so a restart does not resurrect a finished stream.
+			s.queueCheckpoint(st, pos.det, pos.off, pos.frames, pos.datalink, &pos.ckptSeq, true)
+		case pos.ckptSeq > 0:
 			d := &ckptDoc{Session: st.session, Tenant: st.tenant, Stream: st.id,
-				Seq: ckptSeq + 1, Offset: prevOff, Frames: prevFrames,
-				Datalink: sc.Datalink(), Done: true}
+				Seq: pos.ckptSeq + 1, Offset: pos.off, Frames: pos.frames,
+				Datalink: pos.datalink, Done: true}
 			st.sh.tryPersist(persistItem{ckpt: d, ts: time.Now().UnixNano()}, true)
 		}
 	}
-
 	sum := StreamSummary{
 		ID: st.id, Proto: st.proto, Label: st.label,
 		Records:  records,
 		Bytes:    offset,
-		Findings: det.Findings(),
+		Findings: pos.det.Findings(),
 		Status:   status,
 		Offset:   offset,
-		Err:      endErr,
+		Err:      err,
 	}
 	end := Event{
 		Type: EventStreamEnd, Stream: st.id, Proto: st.proto, Label: st.label,
@@ -1047,8 +1049,8 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 		Records: sum.Records, Bytes: sum.Bytes, Findings: sum.Findings,
 		EventsDropped: st.dropped.Load(),
 	}
-	if endErr != nil {
-		end.Error = endErr.Error()
+	if err != nil {
+		end.Error = err.Error()
 	}
 	s.finalize(st, &sum, end)
 	return sum
@@ -1206,8 +1208,8 @@ func (s *Server) flushEvents(sh *shard) bool {
 	}
 }
 
-// Shutdown drains the server: stop accepting, abort parked and cold
-// sessions (live pipelines checkpoint and end "aborted"), let in-flight
+// Shutdown drains the server: stop accepting, abort parked and restored
+// sessions (a live pipeline cut from now on ends "aborted"), let in-flight
 // streams finish until ctx expires, then force-close whatever remains.
 // When Shutdown returns the store is no longer touched — its owner can
 // close it. Safe to call once; returns ctx.Err() if the drain deadline
@@ -1218,9 +1220,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv != nil {
 		_ = s.httpSrv.Shutdown(ctx)
 	}
-	// Wake every parked stream (they end "aborted" after a final
-	// checkpoint) and drop cold entries — their checkpoints are already
-	// durable, a restarted daemon rebuilds them.
+	// End every parked stream "aborted" (after a final checkpoint) and
+	// drop restored entries — their checkpoints are already durable, a
+	// restarted daemon rebuilds them.
 	s.abortSessions()
 
 	done := make(chan struct{})

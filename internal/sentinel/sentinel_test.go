@@ -327,15 +327,16 @@ func TestMaxStreamsRejectsExcess(t *testing.T) {
 	if _, err := over.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
 		t.Fatalf("excess conn read: %v, want EOF", err)
 	}
-	found := false
-	for _, ev := range parseEvents(t, out.Lines()) {
-		if ev.Type == EventStreamRejected {
-			found = true
+	// The counter moves before the shard writer has flushed the event
+	// line, so the line is waited for rather than expected at once.
+	waitFor(t, "stream-rejected event on the output", func() bool {
+		for _, ev := range parseEvents(t, out.Lines()) {
+			if ev.Type == EventStreamRejected {
+				return true
+			}
 		}
-	}
-	if !found {
-		t.Fatal("no stream-rejected event emitted")
-	}
+		return false
+	})
 }
 
 // TestShutdownDrains covers the SIGTERM path: draining flips /healthz to

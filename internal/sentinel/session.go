@@ -34,18 +34,21 @@ import (
 // disabled, no session-table entry, no tenant slot, no checkpoints. A
 // transport cut ends it "truncated"; only the fin ends it "clean".
 //
-// A named session is resumable. When the transport dies mid-stream the
-// server parks the pipeline — scanner tail, detector state, counters,
-// everything — for Config.ResumeGrace, keyed by the session id. A
-// reconnect with the same id adopts the parked pipeline: the hello tells
-// the client where to resume, and the findings the merged run emits are
-// byte-identical to an uninterrupted ingest of the same capture (the
-// chaos differential in chaos.go sweeps a cut at every payload offset to
-// pin exactly that). A restart survives too: periodic detector
-// checkpoints land in the store, RecoverSessions rebuilds parkable
-// entries from them, and a reconnect restores the detector from the
-// checkpoint (the hello then points at the checkpoint offset, which is
-// always a record boundary).
+// A named session is resumable, and there is one resume path. When the
+// transport dies mid-stream the pipeline ends as at any stream end, but
+// instead of finalizing it parks: the session entry keeps the stream's
+// state, its drained detector and the detector's position (the last
+// record boundary it consumed) for Config.ResumeGrace, and the stream
+// slot, goroutines and buffers are freed. A reconnect with the same id
+// starts a new pipeline from that state — runPipeline with a
+// resumeState — and the hello tells the client the offset to resend
+// from. The findings the merged run emits are byte-identical to an
+// uninterrupted ingest of the same capture (the chaos differential in
+// chaos.go sweeps a cut at every payload offset to pin exactly that). A
+// restart survives too: periodic and park-time detector checkpoints land
+// in the store, RecoverSessions rebuilds entries from them, and a
+// reconnect restores the detector from the checkpoint and resumes the
+// same way.
 const (
 	sessionMagic   = "blapses1"
 	sessionVersion = 1
@@ -64,6 +67,15 @@ const (
 	connWriteDeadline = 2 * time.Second
 )
 
+// handoffTimeout bounds how long a reconnect waits for the session's
+// running pipeline to park after closing its transport.
+const handoffTimeout = 10 * time.Second
+
+// errSessionCut ends the pipeline of a named session whose transport
+// died: the finale parks the stream instead of ending it. A stream that
+// ends on it anyway is "truncated".
+var errSessionCut = errors.New("sentinel: session transport cut")
+
 // sessionCounters is the daemon-wide session-lifecycle accounting
 // surfaced as the "sessions" block of /metrics.
 type sessionCounters struct {
@@ -75,41 +87,32 @@ type sessionCounters struct {
 	restored    atomic.Uint64
 }
 
-// sessionEntry is the session table's record for one session id: the
-// live stream bound to it, or a parked/cold pipeline waiting for a
-// reconnect. All fields are guarded by Server.sessMu except the
-// channels, which are safe to use after a locked lookup.
+// sessionEntry is the session table's record for one session id: a
+// running pipeline, a parked stream (res) or a checkpoint restored from
+// the store (ckpt) waiting for a reconnect. All fields are guarded by
+// Server.sessMu.
 type sessionEntry struct {
 	sid    string
 	tenant string
 	stream uint64
-	// conn is the session's current transport (nil while parked/cold).
+	// conn is the session's latest transport: the running pipeline's, or
+	// a reconnect's waiting for the handoff. A newer reconnect closes it.
 	conn net.Conn
-	// resumeC hands a replacement transport to the parked reader;
-	// capacity 1, latest-wins (the router drains a stale queued conn
-	// before pushing).
-	resumeC chan net.Conn
-	// abortC, closed by shutdown, tells a parked reader to die as
-	// "aborted" (checkpointed, resumable after restart) instead of
-	// waiting out the grace window.
-	abortC chan struct{}
-	// aborted records that abortC is closed (close-once guard).
-	aborted bool
-	// parked is true while a live pipeline is waiting in park().
-	parked bool
-	// cold marks an entry rebuilt from a stored checkpoint by
-	// RecoverSessions: there is no pipeline to adopt — a reconnect
-	// restores the detector from ckpt and starts a fresh one.
-	cold bool
+	// handoff is closed when the running pipeline parks or ends; nil
+	// while no pipeline runs.
+	handoff chan struct{}
+	// res is the parked stream, set while no pipeline runs.
+	res *resumeState
+	// ckpt is the stored checkpoint of an entry RecoverSessions rebuilt,
+	// until a reconnect restores it.
+	ckpt *ckptDoc
 	// gone marks the entry dead (dropped from the table); a racing
 	// holder of a stale pointer must treat it as absent.
 	gone bool
 	// admitted records that this entry holds a tenant quota slot.
 	admitted bool
-	// expire times out a cold entry that nobody reclaims.
+	// expire ends a parked or restored entry nobody reclaims.
 	expire *time.Timer
-	// ckpt is the restored checkpoint backing a cold entry.
-	ckpt *ckptDoc
 }
 
 // handleConn owns one accepted ingestion connection. There is one
@@ -192,9 +195,8 @@ func (s *Server) rejectSession(st *streamState, conn net.Conn, sid, reason strin
 
 // routeSession binds a handshaken connection to the session table:
 // empty id → a one-shot pipeline outside the table; fresh id → new
-// pipeline; cold id → restore the checkpointed detector and resume
-// mid-capture; live or parked id → hand the transport to the existing
-// pipeline (latest connection wins).
+// pipeline; known id → claim the entry's parked stream or stored
+// checkpoint and resume it in a new pipeline (latest connection wins).
 func (s *Server) routeSession(st *streamState, conn net.Conn) {
 	sid, tenant, err := s.readSessionHandshake(conn)
 	if err != nil {
@@ -202,100 +204,165 @@ func (s *Server) routeSession(st *streamState, conn net.Conn) {
 		return
 	}
 	if sid == "" {
-		// One-shot: st.ent stays nil, so park ends the stream at the first
-		// transport error and the st.session gates skip checkpoints.
+		// One-shot: st.ent stays nil, so a cut ends the stream instead of
+		// parking it and the st.session gates skip checkpoints.
 		_ = writeConnEvent(conn, Event{Type: EventSessionHello, Stream: st.id})
 		s.runPipeline(st, newSessionReader(s, st, conn, 0), nil)
 		return
 	}
 	s.sessMu.Lock()
 	ent := s.sessions[sid]
-	if ent != nil && ent.gone {
-		ent = nil
-	}
-	switch {
-	case ent == nil:
+	if ent == nil {
 		if !s.admitTenantLocked(tenant) {
-			q := s.cfg.TenantQuota
 			s.sessMu.Unlock()
-			s.rejectSession(st, conn, sid, fmt.Sprintf("tenant quota %d reached", q))
+			s.rejectSession(st, conn, sid, fmt.Sprintf("tenant quota %d reached", s.cfg.TenantQuota))
 			return
 		}
 		ent = &sessionEntry{
 			sid: sid, tenant: tenant, stream: st.id, conn: conn,
-			admitted: tenant != "",
-			resumeC:  make(chan net.Conn, 1),
-			abortC:   make(chan struct{}),
+			handoff: make(chan struct{}), admitted: tenant != "",
 		}
 		s.sessions[sid] = ent
 		s.sessMu.Unlock()
 		st.session, st.tenant, st.ent = sid, tenant, ent
 		_ = writeConnEvent(conn, Event{Type: EventSessionHello, Stream: st.id, Session: sid})
 		s.runPipeline(st, newSessionReader(s, st, conn, 0), nil)
-
-	case ent.cold:
-		if !s.admitTenantLocked(ent.tenant) {
-			q := s.cfg.TenantQuota
-			s.sessMu.Unlock()
-			// The cold entry survives the rejection: the checkpoint stays
-			// reclaimable until its grace timer fires.
-			s.rejectSession(st, conn, sid, fmt.Sprintf("tenant quota %d reached", q))
-			return
-		}
-		ent.cold = false
-		ent.admitted = ent.tenant != ""
-		ent.conn = conn
-		if ent.expire != nil {
-			ent.expire.Stop()
-			ent.expire = nil
-		}
-		ckpt := ent.ckpt
-		s.sessMu.Unlock()
-
-		det := forensics.NewLiveDetector()
-		if err := det.RestoreState(ckpt.State); err != nil {
-			s.sessMu.Lock()
-			s.dropSessionLocked(ent)
-			s.sessMu.Unlock()
-			s.rejectSession(st, conn, sid, fmt.Sprintf("checkpoint restore: %v", err))
-			return
-		}
-		// Rebind to the restored identity: the resumed stream keeps the
-		// stream id its findings were emitted under before the restart.
-		s.unregister(st)
-		rst := &streamState{
-			id: ckpt.Stream, proto: st.proto, label: st.label, conn: conn,
-			session: sid, tenant: ent.tenant, ent: ent, release: st.release,
-		}
-		rst.sh = s.shardFor(rst.id)
-		s.register(rst)
-		s.sess.resumed.Add(1)
-		s.emit(rst, Event{Type: EventSessionResumed, Stream: rst.id, Session: sid, Offset: ckpt.Offset})
-		_ = writeConnEvent(conn, Event{Type: EventSessionHello, Stream: rst.id, Session: sid, Offset: ckpt.Offset})
-		s.runPipeline(rst, newSessionReader(s, rst, conn, ckpt.Offset), &resumeState{
-			det: det, off: ckpt.Offset, frames: ckpt.Frames,
-			datalink: ckpt.Datalink, ckptSeq: ckpt.Seq,
-		})
-
-	default:
-		// Live or parked: adopt. Latest connection wins — a stale queued
-		// replacement is discarded, and closing the entry's current
-		// transport kicks an actively-reading pipeline into park, where it
-		// immediately finds the replacement.
-		select {
-		case stale := <-ent.resumeC:
-			_ = stale.Close()
-		default:
-		}
-		ent.resumeC <- conn
-		if ent.conn != nil {
-			_ = ent.conn.Close()
-			ent.conn = nil
-		}
-		s.sessMu.Unlock()
-		s.unregister(st)
-		st.release()
+		return
 	}
+	res, err := s.claimLocked(ent, conn)
+	if err != nil {
+		s.rejectSession(st, conn, sid, err.Error())
+		return
+	}
+	// A parked stream keeps its state and counters; a restored one gets
+	// the stream id its findings were emitted under before the restart.
+	rst := res.st
+	if rst == nil {
+		rst = &streamState{id: ent.stream, proto: st.proto, label: st.label,
+			session: sid, tenant: ent.tenant, ent: ent}
+		rst.sh = s.shardFor(rst.id)
+	}
+	rst.conn, rst.release = conn, st.release
+	s.unregister(st)
+	s.register(rst)
+	s.sess.resumed.Add(1)
+	s.emit(rst, Event{Type: EventSessionResumed, Stream: rst.id, Session: sid, Offset: res.off})
+	_ = writeConnEvent(conn, Event{Type: EventSessionHello, Stream: rst.id, Session: sid, Offset: res.off})
+	s.runPipeline(rst, newSessionReader(s, rst, conn, res.off), res)
+}
+
+// claimLocked makes conn the entry's transport and takes what it holds
+// to resume (sessMu held on entry, released on return). Latest
+// connection wins: conn closes the entry's previous transport, and if a
+// pipeline still runs on it, waits (bounded) for that pipeline to park.
+// A stored checkpoint is restored into a fresh live detector here, the
+// only place RestoreState runs.
+func (s *Server) claimLocked(ent *sessionEntry, conn net.Conn) (*resumeState, error) {
+	if ent.ckpt != nil && !s.admitTenantLocked(ent.tenant) {
+		// The restored entry survives the rejection: the checkpoint stays
+		// reclaimable until its grace timer fires.
+		s.sessMu.Unlock()
+		return nil, fmt.Errorf("tenant quota %d reached", s.cfg.TenantQuota)
+	}
+	if ent.conn != nil {
+		_ = ent.conn.Close()
+	}
+	ent.conn = conn
+	if ch := ent.handoff; ch != nil {
+		s.sessMu.Unlock()
+		t := time.NewTimer(handoffTimeout)
+		select {
+		case <-ch:
+		case <-t.C:
+		}
+		t.Stop()
+		s.sessMu.Lock()
+	}
+	var err error
+	switch {
+	case ent.gone:
+		err = fmt.Errorf("session %q ended before the handoff", ent.sid)
+	case ent.conn != conn:
+		err = fmt.Errorf("session %q taken over by a newer connection", ent.sid)
+	case ent.handoff != nil:
+		ent.conn = nil
+		err = fmt.Errorf("session %q: the previous connection did not hand over within %v", ent.sid, handoffTimeout)
+	}
+	if err != nil {
+		s.sessMu.Unlock()
+		return nil, err
+	}
+	res, ckpt := ent.res, ent.ckpt
+	if res != nil {
+		s.sess.parked.Add(-1)
+	}
+	if ckpt != nil {
+		ent.admitted = ent.tenant != ""
+	}
+	ent.res, ent.ckpt = nil, nil
+	if ent.expire != nil {
+		ent.expire.Stop()
+		ent.expire = nil
+	}
+	ent.handoff = make(chan struct{})
+	s.sessMu.Unlock()
+	if ckpt == nil {
+		return res, nil
+	}
+	det := forensics.NewLiveDetector()
+	if err := det.RestoreState(ckpt.State); err != nil {
+		s.sessMu.Lock()
+		s.dropSessionLocked(ent)
+		s.sessMu.Unlock()
+		return nil, fmt.Errorf("checkpoint restore: %v", err)
+	}
+	return &resumeState{det: det, off: ckpt.Offset, frames: ckpt.Frames,
+		datalink: ckpt.Datalink, ckptSeq: ckpt.Seq}, nil
+}
+
+// parkStream ends a cut session's pipeline without ending its stream: the
+// detector is checkpointed at its position (the last record boundary
+// it consumed), the stream leaves the active set and gives up its
+// transport and slot, and the entry keeps res for a reconnect to claim
+// within ResumeGrace. It reports false, leaving the stream to end, when
+// the stream is already finalized, its entry dropped, or the server
+// draining.
+func (s *Server) parkStream(res *resumeState) bool {
+	st := res.st
+	ent := st.ent
+	if st.finalized.Load() {
+		return false
+	}
+	s.queueCheckpoint(st, res.det, res.off, res.frames, res.datalink, &res.ckptSeq, true)
+	s.emit(st, Event{Type: EventSessionParked, Stream: st.id, Session: st.session, Offset: res.off})
+	s.unregister(st)
+	s.connMu.Lock()
+	own := st.conn
+	st.conn = nil
+	s.connMu.Unlock()
+	if own != nil {
+		_ = own.Close()
+	}
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	if ent.gone || s.draining.Load() {
+		// Shutdown (abortSessions) has passed or is waiting on this lock;
+		// either way it will not see this entry parked.
+		return false
+	}
+	if ent.conn == own {
+		ent.conn = nil
+	}
+	ent.res = res
+	close(ent.handoff)
+	ent.handoff = nil
+	ent.expire = time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireSession(ent, res, nil) })
+	// The slot goes before the gauge moves, so whoever sees the session
+	// parked also finds its slot free.
+	st.release()
+	s.sess.parked.Add(1)
+	s.sess.parkedTotal.Add(1)
+	return true
 }
 
 // admitTenantLocked claims a tenant quota slot (sessMu held). The empty
@@ -312,8 +379,8 @@ func (s *Server) admitTenantLocked(tenant string) bool {
 }
 
 // dropSessionLocked removes an entry from the session table (sessMu
-// held), releasing its tenant slot, stopping its timer, and closing any
-// replacement transport queued after the decision to drop.
+// held), releasing its tenant slot, stopping its timer, un-counting a
+// parked stream and waking a reconnect waiting for the handoff.
 func (s *Server) dropSessionLocked(ent *sessionEntry) {
 	if ent == nil || ent.gone {
 		return
@@ -324,6 +391,14 @@ func (s *Server) dropSessionLocked(ent *sessionEntry) {
 		ent.expire.Stop()
 		ent.expire = nil
 	}
+	if ent.res != nil {
+		ent.res = nil
+		s.sess.parked.Add(-1)
+	}
+	if ent.handoff != nil {
+		close(ent.handoff)
+		ent.handoff = nil
+	}
 	if ent.admitted {
 		ent.admitted = false
 		if n := s.tenants[ent.tenant]; n <= 1 {
@@ -332,66 +407,94 @@ func (s *Server) dropSessionLocked(ent *sessionEntry) {
 			s.tenants[ent.tenant] = n - 1
 		}
 	}
-	select {
-	case c := <-ent.resumeC:
-		_ = c.Close()
-	default:
-	}
 }
 
-// abortEntryLocked closes the entry's abort channel once (sessMu held).
-func abortEntryLocked(ent *sessionEntry) {
-	if ent != nil && !ent.aborted {
-		ent.aborted = true
-		close(ent.abortC)
-	}
-}
-
-// abortSessions marks every session for shutdown: live and parked
-// entries get their abort channel closed (the pipeline ends "aborted"
-// after checkpointing), cold entries are dropped silently — their
-// checkpoints are already durable and a restarted daemon rebuilds them.
+// abortSessions retires every session without a running pipeline at
+// shutdown: a parked stream ends "aborted" with a final checkpoint,
+// resumable after a restart; a restored entry is dropped silently, its
+// checkpoint already durable. A running pipeline ends by itself: a cut
+// while draining aborts instead of parking.
 func (s *Server) abortSessions() {
+	var parked []*resumeState
 	s.sessMu.Lock()
-	ents := make([]*sessionEntry, 0, len(s.sessions))
 	for _, ent := range s.sessions {
-		ents = append(ents, ent)
-	}
-	for _, ent := range ents {
-		if ent.cold {
-			s.dropSessionLocked(ent)
+		if ent.res == nil && ent.ckpt == nil {
 			continue
 		}
-		abortEntryLocked(ent)
+		if ent.res != nil {
+			parked = append(parked, ent.res)
+		}
+		s.dropSessionLocked(ent)
 	}
 	s.sessMu.Unlock()
+	// One goroutine each, as their pipelines would have ended them: a
+	// wedged consumer then costs Shutdown one write deadline, not one
+	// per parked session. Shutdown waits for them in streamWg.
+	for _, res := range parked {
+		s.streamWg.Add(1)
+		go func() {
+			defer s.streamWg.Done()
+			s.endStream(res, res.frames, res.off, StatusAborted, ErrAborted)
+		}()
+	}
+}
+
+// expireSession ends an entry nobody reclaimed within ResumeGrace —
+// the parked stream res or the restored checkpoint ckpt its timer was
+// armed for; a claim since then, or a shutdown, makes the call a no-op
+// (abortSessions ends what is still parked at shutdown). The entry
+// leaves the table and a session-expired event records it. A parked
+// stream ends "truncated" at its park offset (its tombstone written by
+// endStream); a restored checkpoint gets a best-effort tombstone so the
+// next restart does not resurrect it.
+func (s *Server) expireSession(ent *sessionEntry, res *resumeState, ckpt *ckptDoc) {
+	s.sessMu.Lock()
+	if ent.gone || ent.res != res || ent.ckpt != ckpt || s.draining.Load() {
+		// Claimed since, or left to abortSessions.
+		s.sessMu.Unlock()
+		return
+	}
+	s.dropSessionLocked(ent)
+	// Shutdown waits for this end as for a pipeline's: under sessMu the
+	// Add is ordered before abortSessions, and so before streamWg.Wait.
+	s.streamWg.Add(1)
+	s.sessMu.Unlock()
+	defer s.streamWg.Done()
+	s.sess.expired.Add(1)
+	if res != nil {
+		s.emit(res.st, Event{Type: EventSessionExpired, Stream: res.st.id, Session: ent.sid, Offset: res.off})
+		s.endStream(res, res.frames, res.off, StatusTruncated, io.ErrUnexpectedEOF)
+		return
+	}
+	s.emit(nil, Event{Type: EventSessionExpired, Stream: ent.stream, Session: ent.sid, Offset: ckpt.Offset})
+	sh := s.shardFor(ent.stream)
+	if sh.persist != nil {
+		d := *ckpt
+		d.Seq++
+		d.Done = true
+		d.State = nil
+		sh.tryPersist(persistItem{ckpt: &d, ts: time.Now().UnixNano()}, false)
+	}
 }
 
 // sessionReader adapts the chunked session transport into the plain
-// io.Reader the scanner pipeline consumes — and hides transport death
-// from it: a read error parks the stream inside Read for the resume
-// grace window and, on adoption, continues delivering bytes as if
-// nothing happened. Only the reader goroutine touches its fields.
+// io.Reader the scanner pipeline consumes. A transport error ends the
+// read: for a named session that may resume, with errSessionCut, which
+// makes the pipeline park. Only the reader goroutine touches its
+// fields.
 type sessionReader struct {
 	s  *Server
 	st *streamState
-	// conn is the current transport (replaced across adoptions).
+	// conn is the transport.
 	conn net.Conn
 	// remaining is what's left of the current chunk.
 	remaining int64
-	// delivered counts payload bytes handed to the scanner — the resume
-	// offset a warm hello advertises (the scanner may hold a partial
-	// record tail inside that count; an adopting client does not resend
-	// it).
+	// delivered counts payload bytes handed to the scanner, from the
+	// offset the stream (re)started at; acks report it.
 	delivered int64
 	ackedAt   int64
 	fin       bool
-	// onPark, set by runPipeline, pushes a checkpoint marker through the
-	// batch ring. Called on the reader goroutine — the ring's producer —
-	// right after the stream parks, so the detector snapshots exactly
-	// the state matching the park offset.
-	onPark func()
-	hdr    [4]byte
+	hdr       [4]byte
 }
 
 func newSessionReader(s *Server, st *streamState, conn net.Conn, delivered int64) *sessionReader {
@@ -405,13 +508,7 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 		}
 		if r.remaining == 0 {
 			if err := r.readHeader(); err != nil {
-				if terminalTransport(err) {
-					return 0, err
-				}
-				if resumed, perr := r.park(); !resumed {
-					return 0, perr
-				}
-				continue
+				return 0, r.cut(err)
 			}
 			n := binary.LittleEndian.Uint32(r.hdr[:])
 			if n == 0 {
@@ -436,28 +533,33 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 			// call; the bytes go to the scanner first.
 			return n, nil
 		}
-		if err == nil {
-			continue
-		}
-		if terminalTransport(err) {
-			return 0, err
-		}
-		if resumed, perr := r.park(); !resumed {
-			return 0, perr
+		if err != nil {
+			return 0, r.cut(err)
 		}
 	}
 }
 
-// terminalTransport reports errors that must end the stream rather than
-// park it: a read deadline means the client is connected and silent —
-// the timeout classification, not a disconnect.
-func terminalTransport(err error) bool {
-	return errors.Is(err, os.ErrDeadlineExceeded)
+// cut maps a transport error to the error that ends the stream's
+// pipeline: a read deadline means the client is connected and silent
+// (the timeout classification, not a disconnect); during shutdown or
+// after a watchdog kill the stream is aborted; a one-shot stream, or
+// any stream with resume disabled, is truncated; a named session parks
+// (errSessionCut).
+func (r *sessionReader) cut(err error) error {
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return err
+	case r.s.draining.Load() || r.st.aborted.Load():
+		return ErrAborted
+	case r.st.ent == nil || r.s.cfg.ResumeGrace < 0:
+		return io.ErrUnexpectedEOF
+	}
+	return errSessionCut
 }
 
 // readHeader reads the next chunk header under one absolute deadline.
 // Partial header bytes lost to a transport cut are not capture bytes:
-// an adopting client re-frames from the acked payload offset.
+// a resuming client re-frames from the hello offset.
 func (r *sessionReader) readHeader() error {
 	if t := r.s.cfg.ReadTimeout; t > 0 {
 		_ = r.conn.SetReadDeadline(time.Now().Add(t))
@@ -479,116 +581,6 @@ func (r *sessionReader) maybeAck() {
 	}
 	r.ackedAt = r.delivered
 	_ = writeConnEvent(r.conn, Event{Type: EventSessionAck, Stream: r.st.id, Offset: r.delivered})
-}
-
-// park suspends the stream after a transport error. It returns
-// (true, nil) once a replacement connection was adopted, or
-// (false, err) with the error that must end the stream: ErrAborted for
-// shutdown, io.ErrUnexpectedEOF for a one-shot stream (no entry to park
-// on) or when the grace window expired — the capture is then truncated
-// at the death offset.
-func (r *sessionReader) park() (bool, error) {
-	s, st := r.s, r.st
-	ent := st.ent
-	if ent == nil {
-		return false, io.ErrUnexpectedEOF
-	}
-	adopt := func(c net.Conn) (bool, error) {
-		r.adopt(c)
-		s.sess.resumed.Add(1)
-		s.emit(st, Event{Type: EventSessionResumed, Stream: st.id, Session: st.session, Offset: r.delivered})
-		return true, nil
-	}
-	// Fast path: the client reconnected before the old transport's death
-	// surfaced here. Adopt without ever counting a park.
-	select {
-	case c := <-ent.resumeC:
-		return adopt(c)
-	default:
-	}
-	if s.draining.Load() || st.aborted.Load() {
-		return false, ErrAborted
-	}
-	select {
-	case <-ent.abortC:
-		return false, ErrAborted
-	default:
-	}
-	if s.cfg.ResumeGrace < 0 {
-		return false, io.ErrUnexpectedEOF
-	}
-	s.sessMu.Lock()
-	if ent.gone {
-		s.sessMu.Unlock()
-		return false, io.ErrUnexpectedEOF
-	}
-	ent.parked = true
-	ent.conn = nil
-	s.sessMu.Unlock()
-	s.connMu.Lock()
-	st.conn = nil
-	s.connMu.Unlock()
-	s.sess.parked.Add(1)
-	s.sess.parkedTotal.Add(1)
-	s.emit(st, Event{Type: EventSessionParked, Stream: st.id, Session: st.session, Offset: r.delivered})
-	if r.onPark != nil {
-		// Checkpoint the detector at the park point: if the daemon dies
-		// during the grace window, the stored state resumes this stream.
-		r.onPark()
-	}
-	unpark := func() {
-		s.sessMu.Lock()
-		ent.parked = false
-		s.sessMu.Unlock()
-		s.sess.parked.Add(-1)
-	}
-	timer := time.NewTimer(s.cfg.ResumeGrace)
-	defer timer.Stop()
-	select {
-	case c := <-ent.resumeC:
-		unpark()
-		return adopt(c)
-	case <-ent.abortC:
-		unpark()
-		return false, ErrAborted
-	case <-timer.C:
-		s.sessMu.Lock()
-		select {
-		case c := <-ent.resumeC:
-			// Adoption raced the expiry under the lock; the client wins.
-			ent.parked = false
-			s.sessMu.Unlock()
-			s.sess.parked.Add(-1)
-			return adopt(c)
-		default:
-		}
-		ent.parked = false
-		s.dropSessionLocked(ent)
-		s.sessMu.Unlock()
-		s.sess.parked.Add(-1)
-		s.sess.expired.Add(1)
-		s.emit(st, Event{Type: EventSessionExpired, Stream: st.id, Session: st.session, Offset: r.delivered})
-		return false, io.ErrUnexpectedEOF
-	}
-}
-
-// adopt switches the reader onto a replacement transport and tells the
-// client where to resume: the hello's offset is the payload byte count
-// already delivered to the scanner — the client seeks there and
-// re-frames, so bytes lost in flight on the dead transport are simply
-// sent again.
-func (r *sessionReader) adopt(c net.Conn) {
-	s, st := r.s, r.st
-	s.connMu.Lock()
-	st.conn = c
-	s.connMu.Unlock()
-	s.sessMu.Lock()
-	st.ent.conn = c
-	s.sessMu.Unlock()
-	r.conn = c
-	r.remaining = 0
-	r.ackedAt = r.delivered
-	_ = writeConnEvent(c, Event{Type: EventSessionHello, Stream: st.id, Session: st.session, Offset: r.delivered})
 }
 
 // writeConnEvent writes one JSONL event to the client connection under
@@ -615,11 +607,12 @@ func sessionKey(sid string) uint64 {
 	return k
 }
 
-// RecoverSessions rebuilds parkable session entries from the
-// checkpoints persisted in the store: for every session whose
-// highest-seq checkpoint is not a tombstone, a cold entry is created
-// that a reconnecting client can claim within ResumeGrace (after which
-// it expires with a session-expired event and a tombstone). Stream id
+// RecoverSessions rebuilds session entries from the checkpoints
+// persisted in the store: for every session whose highest-seq
+// checkpoint is not a tombstone, an entry holding that checkpoint is
+// created that a reconnecting client can claim within ResumeGrace
+// (after which it expires with a session-expired event and a
+// tombstone). Stream id
 // allocation continues above the highest restored id so resumed and new
 // streams never collide. Call after New and before Start; returns the
 // number of sessions restored.
@@ -652,15 +645,9 @@ func (s *Server) RecoverSessions() (int, error) {
 		if _, exists := s.sessions[sid]; exists {
 			continue
 		}
-		ent := &sessionEntry{
-			sid: sid, tenant: d.Tenant, stream: d.Stream,
-			cold: true, ckpt: d,
-			resumeC: make(chan net.Conn, 1),
-			abortC:  make(chan struct{}),
-		}
+		ent := &sessionEntry{sid: sid, tenant: d.Tenant, stream: d.Stream, ckpt: d}
 		if s.cfg.ResumeGrace > 0 {
-			e := ent
-			ent.expire = time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireCold(e) })
+			ent.expire = time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireSession(ent, nil, d) })
 		}
 		s.sessions[sid] = ent
 		if d.Stream > maxStream {
@@ -677,29 +664,6 @@ func (s *Server) RecoverSessions() (int, error) {
 	}
 	s.sess.restored.Add(uint64(restored))
 	return restored, nil
-}
-
-// expireCold retires a cold entry nobody reclaimed: the session table
-// slot goes away, a session-expired event records it, and a tombstone
-// checkpoint (best effort) stops the next restart from resurrecting it.
-func (s *Server) expireCold(ent *sessionEntry) {
-	s.sessMu.Lock()
-	if ent.gone || !ent.cold {
-		s.sessMu.Unlock()
-		return
-	}
-	s.dropSessionLocked(ent)
-	s.sessMu.Unlock()
-	s.sess.expired.Add(1)
-	s.emit(nil, Event{Type: EventSessionExpired, Stream: ent.stream, Session: ent.sid, Offset: ent.ckpt.Offset})
-	sh := s.shardFor(ent.stream)
-	if sh.persist != nil {
-		d := *ent.ckpt
-		d.Seq++
-		d.Done = true
-		d.State = nil
-		sh.tryPersist(persistItem{ckpt: &d, ts: time.Now().UnixNano()}, false)
-	}
 }
 
 // watchdogLoop scans for streams whose detector stage has been busy on
@@ -735,8 +699,8 @@ func (s *Server) watchdogLoop() {
 }
 
 // failWedged force-fails one stream whose detector loop stopped making
-// progress: its session is aborted, its transport closed, and the
-// stream finalized as "error" from the counters the pipeline maintained
+// progress: it is marked aborted, its transport closed, and the stream
+// finalized as "error" from the counters the pipeline maintained
 // — the wedged goroutines are abandoned (their late emissions are
 // dropped by the finalize guard) and the stream slot is released. No
 // final checkpoint is written: a wedged detector's state is suspect, so
@@ -745,11 +709,8 @@ func (s *Server) failWedged(st *streamState) {
 	if st.finalized.Load() {
 		return
 	}
-	if st.ent != nil {
-		s.sessMu.Lock()
-		abortEntryLocked(st.ent)
-		s.sessMu.Unlock()
-	}
+	// Aborted before the close, so the reader ends the stream instead of
+	// parking it.
 	st.aborted.Store(true)
 	s.connMu.Lock()
 	if st.conn != nil {

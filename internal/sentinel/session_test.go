@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -841,4 +842,241 @@ func TestOneShotEndStatus(t *testing.T) {
 	if p := s.Snapshot().Sessions.ParkedTotal; p != 0 {
 		t.Fatalf("sessions.parked_total = %d after one-shot cuts, want 0", p)
 	}
+}
+
+// requireBatchFindings checks that one stream's finding lines on the
+// output equal forensics.AnalyzeBytes over the whole capture, finding
+// for finding.
+func requireBatchFindings(t *testing.T, raw []byte, stream uint64, capture []byte) {
+	t.Helper()
+	rep, err := forensics.AnalyzeBytes(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []Event
+	for _, ev := range parseEvents(t, raw) {
+		if ev.Type == EventFinding && ev.Stream == stream {
+			live = append(live, ev)
+		}
+	}
+	if len(live) != len(rep.Findings) || len(live) == 0 {
+		t.Fatalf("stream %d emitted %d findings, AnalyzeBytes found %d", stream, len(live), len(rep.Findings))
+	}
+	for i, ev := range live {
+		w := rep.Findings[i]
+		if ev.Frame != w.Frame || ev.Kind != w.Kind || ev.Peer != w.Peer.String() || ev.Detail != w.Detail {
+			t.Fatalf("finding %d:\nlive:  %+v\nbatch: %+v", i, ev, w)
+		}
+	}
+}
+
+// endOf waits for the next stream summary on ends.
+func endOf(t *testing.T, ends chan StreamSummary, what string) StreamSummary {
+	t.Helper()
+	select {
+	case sum := <-ends:
+		return sum
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: stream never ended", what)
+		return StreamSummary{}
+	}
+}
+
+// TestParkedSessionHoldsNoSlot: a parked session holds no stream slot.
+// With MaxStreams 1, a session cut at half its capture parks, and its
+// own reconnect must be admitted rather than rejected for the stream
+// cap; it resumes the same stream, which ends clean with the batch
+// findings.
+func TestParkedSessionHoldsNoSlot(t *testing.T) {
+	capture := synthCapture(t, 3000, 23)
+	recs, err := snoop.ReadAll(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &syncBuffer{}
+	ends := make(chan StreamSummary, 2)
+	s := startServer(t, Config{
+		UnixAddr:    filepath.Join(t.TempDir(), "s.sock"),
+		MaxStreams:  1,
+		ResumeGrace: 5 * time.Second,
+		Output:      out,
+		OnStreamEnd: func(sum StreamSummary) { ends <- sum },
+	})
+
+	conn, hello, err := DialSession("unix", s.UnixAddr(), "one-slot", "", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := int64(len(capture) / 2)
+	if _, err := WriteSessionChunks(conn, bytes.NewReader(capture[:cut])); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
+	waitFor(t, "session parked", func() bool { return s.Snapshot().Sessions.Parked == 1 })
+	parkedActive := s.Snapshot().StreamsActive
+
+	conn2, hello2, err := DialSession("unix", s.UnixAddr(), "one-slot", "", 5*time.Second)
+	if err != nil {
+		t.Fatalf("reconnect to the parked session with MaxStreams 1: %v", err)
+	}
+	defer conn2.Close()
+	if parkedActive != 0 {
+		t.Fatalf("streams_active %d while the only session was parked, want 0", parkedActive)
+	}
+	if hello2.Stream != hello.Stream {
+		t.Fatalf("resumed as stream %d, want %d", hello2.Stream, hello.Stream)
+	}
+	if hello2.Offset <= 0 || hello2.Offset > cut {
+		t.Fatalf("resume offset %d, want in (0, %d]", hello2.Offset, cut)
+	}
+	sendSession(t, conn2, capture, hello2.Offset)
+
+	sum := endOf(t, ends, "resumed session")
+	if sum.Status != StatusClean || sum.Bytes != int64(len(capture)) || sum.Records != len(recs) {
+		t.Fatalf("resumed stream %+v, want clean with %d bytes and %d records", sum, len(capture), len(recs))
+	}
+	requireBatchFindings(t, out.Lines(), hello.Stream, capture)
+}
+
+// TestParkedSessionExpires: a parked session nobody reclaims within
+// ResumeGrace expires. The stream ends "truncated" at the offset it
+// parked at, with session-expired and stream-end lines, and its tenant
+// slot is released: a later dial with the same id and tenant, under a
+// quota of one, is admitted and starts a fresh stream at offset 0.
+func TestParkedSessionExpires(t *testing.T) {
+	capture := synthCapture(t, 3000, 29)
+	out := &syncBuffer{}
+	ends := make(chan StreamSummary, 4)
+	s := startServer(t, Config{
+		UnixAddr:    filepath.Join(t.TempDir(), "s.sock"),
+		TenantQuota: 1,
+		ResumeGrace: time.Second,
+		Output:      out,
+		OnStreamEnd: func(sum StreamSummary) { ends <- sum },
+	})
+
+	conn, hello, err := DialSession("unix", s.UnixAddr(), "exp-1", "tenant-x", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := int64(len(capture) / 2)
+	if _, err := WriteSessionChunks(conn, bytes.NewReader(capture[:cut])); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
+	waitFor(t, "session parked", func() bool { return s.Snapshot().Sessions.Parked == 1 })
+	if c, _, err := DialSession("unix", s.UnixAddr(), "exp-2", "tenant-x", 5*time.Second); err == nil {
+		_ = c.Close()
+		t.Fatal("a second tenant-x session was admitted while the parked one holds the quota of 1")
+	}
+
+	sum := endOf(t, ends, "parked session")
+	if sum.ID != hello.Stream || sum.Status != StatusTruncated {
+		t.Fatalf("expired stream %+v, want stream %d truncated", sum, hello.Stream)
+	}
+	var parkedAt, expiredAt, endAt int64 = -1, -1, -1
+	var endStatus string
+	for _, ev := range parseEvents(t, out.Lines()) {
+		if ev.Stream != hello.Stream {
+			continue
+		}
+		switch ev.Type {
+		case EventSessionParked:
+			parkedAt = ev.Offset
+		case EventSessionExpired:
+			expiredAt = ev.Offset
+		case EventStreamEnd:
+			endAt, endStatus = ev.Offset, ev.Status
+		}
+	}
+	if parkedAt <= 0 || parkedAt > cut {
+		t.Fatalf("session-parked offset %d, want in (0, %d]", parkedAt, cut)
+	}
+	if expiredAt != parkedAt || endAt != parkedAt || sum.Offset != parkedAt || endStatus != StatusTruncated {
+		t.Fatalf("parked at %d; session-expired at %d, stream-end %q at %d, summary at %d: want all truncated at the park offset",
+			parkedAt, expiredAt, endStatus, endAt, sum.Offset)
+	}
+	if snap := s.Snapshot().Sessions; snap.Parked != 0 || snap.Expired != 1 {
+		t.Fatalf("sessions %+v, want parked 0 and expired 1", snap)
+	}
+
+	conn3, hello3, err := DialSession("unix", s.UnixAddr(), "exp-1", "tenant-x", 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial after expiry (the tenant slot must be free): %v", err)
+	}
+	defer conn3.Close()
+	if hello3.Offset != 0 || hello3.Stream == hello.Stream {
+		t.Fatalf("dial after expiry: stream %d at offset %d, want a fresh stream at offset 0", hello3.Stream, hello3.Offset)
+	}
+}
+
+// TestLatestConnectionWins: a reconnect that arrives while the
+// session's old transport is still open takes the session over. The
+// daemon closes the old transport, the stream resumes exactly once on
+// the new one, and it ends once, clean, with the batch findings.
+func TestLatestConnectionWins(t *testing.T) {
+	capture := synthCapture(t, 3000, 31)
+	recs, err := snoop.ReadAll(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &syncBuffer{}
+	ends := make(chan StreamSummary, 2)
+	s := startServer(t, Config{
+		UnixAddr:    filepath.Join(t.TempDir(), "s.sock"),
+		ResumeGrace: time.Minute,
+		Output:      out,
+		OnStreamEnd: func(sum StreamSummary) { ends <- sum },
+	})
+
+	conn1, hello1, err := DialSession("unix", s.UnixAddr(), "latest", "", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn1.Close()
+	third := int64(len(capture) / 3)
+	if _, err := WriteSessionChunks(conn1, bytes.NewReader(capture[:third])); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "first third ingested", func() bool { return s.Snapshot().Bytes > 0 })
+
+	conn2, hello2, err := DialSession("unix", s.UnixAddr(), "latest", "", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	// The daemon must have closed the old transport: reading it ends
+	// (EOF, or a reset if it left bytes unread) instead of timing out.
+	_ = conn1.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn1); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the old transport is still open after the reconnect took the session")
+	}
+	if hello2.Stream != hello1.Stream {
+		t.Fatalf("reconnect got stream %d, want %d", hello2.Stream, hello1.Stream)
+	}
+	if hello2.Offset <= 0 || hello2.Offset > third {
+		t.Fatalf("resume offset %d, want in (0, %d]", hello2.Offset, third)
+	}
+	sendSession(t, conn2, capture, hello2.Offset)
+
+	sum := endOf(t, ends, "taken-over session")
+	if sum.Status != StatusClean || sum.Bytes != int64(len(capture)) || sum.Records != len(recs) {
+		t.Fatalf("stream %+v, want clean with %d bytes and %d records", sum, len(capture), len(recs))
+	}
+	var resumed, endLines int
+	for _, ev := range parseEvents(t, out.Lines()) {
+		if ev.Stream != hello1.Stream {
+			continue
+		}
+		switch ev.Type {
+		case EventSessionResumed:
+			resumed++
+		case EventStreamEnd:
+			endLines++
+		}
+	}
+	if resumed != 1 || endLines != 1 {
+		t.Fatalf("%d session-resumed and %d stream-end lines, want 1 and 1", resumed, endLines)
+	}
+	requireBatchFindings(t, out.Lines(), hello1.Stream, capture)
 }

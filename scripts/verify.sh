@@ -216,6 +216,22 @@ kill -TERM "$crash2_pid"
 wait "$crash2_pid"
 strip_findings "$res_dir/crash1.jsonl" "$res_dir/crash2.jsonl" | sort -u > "$res_dir/crash.findings"
 cmp "$res_dir/base.findings" "$res_dir/crash.findings"
+# One-slot resume smoke: a parked session holds no stream slot. With
+# -max-streams 1, a -send cut at half the capture must get back into the
+# slot its parked stream gave up (the client's dial retry covers the
+# moment before the park), resume, and end in exactly one stream-end
+# line: clean, with every record of the capture.
+"$res_dir/blapd" -tcp 127.0.0.1:0 -max-streams 1 -resume-grace 10s \
+    > "$res_dir/slot.jsonl" 2> "$res_dir/slot.err" &
+slot_pid=$!
+wait_addr "$res_dir/slot.err"
+half=$(( $(wc -c < "$res_dir/cap.btsnoop") / 2 ))
+"$res_dir/blapd" -send "$res_dir/cap.btsnoop" -tcp "$addr" -session s1 -cut "$half"
+wait_clean "$res_dir/slot.jsonl"
+kill -TERM "$slot_pid"
+wait "$slot_pid"
+[ "$(grep -c '"type":"stream-end"' "$res_dir/slot.jsonl")" -eq 1 ]
+grep '"type":"stream-end"' "$res_dir/slot.jsonl" | grep '"status":"clean"' | grep -q '"records":1000000,'
 rm -rf "$res_dir"
 
 # Transport-chaos differential, full sweep over a small capture: cut
