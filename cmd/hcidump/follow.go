@@ -88,6 +88,7 @@ func followFile(f io.Reader, idle, pollMax time.Duration, out io.Writer, st *sca
 		sc = snoop.NewBatchScannerSize(tail, 256<<10)
 	}
 	var b snoop.RecordBatch
+	var text []byte // reused finding text, rendered by AppendDetail
 	for sc.ScanBatch(&b) {
 		// Push every record, not PushKept: the detector's frame count is
 		// part of the checkpoint, and a resumed follow numbers its frames
@@ -97,9 +98,10 @@ func followFile(f io.Reader, idle, pollMax time.Duration, out io.Writer, st *sca
 			det.Push(rec)
 			for _, ev := range det.Drain() {
 				st.finding(ev)
+				text = ev.Finding.AppendDetail(text[:0])
 				fmt.Fprintf(out, "%s frame %-5d [%s] peer %s: %s\n",
 					ev.Time.Format("15:04:05.000000"), ev.Frame,
-					ev.Finding.Kind, ev.Finding.Peer, ev.Finding.Detail)
+					ev.Finding.Kind, ev.Finding.Peer, text)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -70,9 +71,27 @@ func TestFollowGrowingFile(t *testing.T) {
 	if !reflect.DeepEqual(report, want) {
 		t.Fatalf("follow report diverges from batch:\nfollow: %+v\nbatch:  %+v", report, want)
 	}
-	lines := strings.Count(out.String(), "\n")
-	if lines != len(want.Findings) {
-		t.Fatalf("printed %d live finding lines, want %d", lines, len(want.Findings))
+	checkFollowLines(t, out.String(), want)
+}
+
+// checkFollowLines requires the printed live lines to be the report's
+// findings, in order, one line each: frame, kind, peer and the finding
+// text the events render with AppendDetail, equal to the report's
+// Detail. The wall-clock prefix of each line is not compared.
+func checkFollowLines(t *testing.T, out string, want *forensics.Report) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if out == "" {
+		lines = nil
+	}
+	if len(lines) != len(want.Findings) {
+		t.Fatalf("printed %d live finding lines, want %d", len(lines), len(want.Findings))
+	}
+	for i, f := range want.Findings {
+		w := fmt.Sprintf("frame %-5d [%s] peer %s: %s", f.Frame, f.Kind, f.Peer, f.Detail)
+		if _, got, _ := strings.Cut(lines[i], " "); got != w {
+			t.Fatalf("live line %d:\ngot:  %s\nwant: %s", i, got, w)
+		}
 	}
 }
 
@@ -198,10 +217,7 @@ func TestFollowCheckpointResume(t *testing.T) {
 		t.Fatalf("cumulative resumed report diverges from batch:\nresumed: %+v\nbatch:   %+v", report, want)
 	}
 	// Live lines across both runs cover every finding exactly once.
-	lines := strings.Count(out1.String(), "\n") + strings.Count(out2.String(), "\n")
-	if lines != len(want.Findings) {
-		t.Fatalf("printed %d live finding lines across the restart, want %d", lines, len(want.Findings))
-	}
+	checkFollowLines(t, out1.String()+out2.String(), want)
 }
 
 // cleanBoundary returns the largest record boundary <= want, so a

@@ -118,8 +118,8 @@ type link struct {
 
 	// currentKey and aco cache the session's authentication material for
 	// encryption key generation.
-	currentKey    bt.LinkKey
-	haveKey       bool
+	currentKey bt.LinkKey
+	haveKey    bool
 	// e1ctx caches the SAFER+ key schedules for e1ctxKey so repeated
 	// E1 authentications and E3 derivations under one bonded key skip
 	// the schedule expansion (see btcrypto.E1Context).

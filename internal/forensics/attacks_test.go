@@ -202,8 +202,7 @@ func TestAttackLiveBatchParity(t *testing.T) {
 				if ev.Seq != uint64(i+1) {
 					t.Fatalf("event %d: seq %d", i, ev.Seq)
 				}
-				if ev.Finding.Kind != bf.Kind || ev.Finding.Frame != bf.Frame ||
-					ev.Finding.Peer != bf.Peer || ev.Finding.Detail != bf.Detail {
+				if !eventMatchesFinding(ev.Finding, bf) {
 					t.Fatalf("event %d diverges: live %+v batch %+v", i, ev.Finding, bf)
 				}
 			}

@@ -35,6 +35,9 @@ type Detector struct {
 	// checkpoints serialize into one right-sized allocation instead of
 	// growing a 512-byte buffer through a dozen realloc copies.
 	snapCap int
+	// burstCap is the capacity the next pending burst starts with, sized
+	// by Drain from the burst it last handed out.
+	burstCap int
 }
 
 // NewDetector returns an empty Detector that accumulates the full batch
@@ -64,6 +67,9 @@ func (d *Detector) install(st *sessionState) {
 	d.st = st
 	st.onFinding = func(f Finding) {
 		d.seq++
+		if d.pending == nil {
+			d.pending = make([]Event, 0, max(d.burstCap, 4))
+		}
 		d.pending = append(d.pending, Event{
 			Seq: d.seq, Frame: d.st.frame, Time: d.st.ts, Finding: f,
 		})
@@ -76,8 +82,9 @@ func (d *Detector) install(st *sessionState) {
 // field it keeps, so nothing of rec is retained.
 func (d *Detector) Push(rec snoop.Record) {
 	d.frames++
-	if msg := decodeRecord(recordDir(rec), rec.Data); msg != nil {
-		d.st.apply(d.frames, rec.Timestamp, msg)
+	var m hciMsg
+	if m.decode(rec.Data) {
+		d.st.apply(d.frames, rec.Timestamp, &m)
 	}
 }
 
@@ -92,28 +99,33 @@ func (d *Detector) Push(rec snoop.Record) {
 // every record (the sentinel pipeline, the eval scans) read the
 // scanner's Frame instead.
 func (d *Detector) PushKept(frames []int, recs []snoop.Record) {
+	var m hciMsg // decoded in place, reused for the whole batch
 	for i := range recs {
 		rec := &recs[i]
-		msg := decodeRelevant(recordDir(*rec), rec.Data)
-		if msg == nil {
+		if !m.decode(rec.Data) {
 			continue
 		}
 		if frames[i] > d.frames {
 			d.frames = frames[i]
 		}
-		d.st.apply(frames[i], rec.Timestamp, msg)
+		d.st.apply(frames[i], rec.Timestamp, &m)
 	}
 }
 
 // Drain returns the events produced since the previous Drain call, in
 // emission order, or nil when there are none. The returned slice is
-// owned by the caller.
+// owned by the caller, and its findings carry their structured fields
+// with Detail empty (see Finding). The next burst's slice is allocated
+// at the first finding after the Drain, sized from this burst, so a
+// steady stream of bursts costs one allocation per burst instead of a
+// regrowth from zero.
 func (d *Detector) Drain() []Event {
 	if len(d.pending) == 0 {
 		return nil
 	}
 	ev := d.pending
 	d.pending = nil
+	d.burstCap = len(ev) + len(ev)/8
 	return ev
 }
 

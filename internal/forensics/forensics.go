@@ -91,12 +91,75 @@ type KeyExposure struct {
 // Finding is one flagged anomaly. Frame is the 1-based capture position
 // of the record that completed the finding — the earliest point at which
 // an online detector could have raised it.
+//
+// A finding comes in two forms. The detector's events carry the fields
+// its text is built from (Source, Handle, Reason, PrevKeyType, KeyType)
+// and leave Detail empty, so the reducer builds no strings on its hot
+// path; the text is rendered where it is written, by AppendDetail. A
+// Report's findings carry the rendered Detail instead, with those fields
+// zero, which is what the batch consumers and the checkpoint codec read.
 type Finding struct {
 	Kind    string
 	Frame   int
 	Peer    bt.BDADDR
 	Detail  string
 	Session *Session
+
+	// Source names the HCI message that carried a plaintext key
+	// (FindingKeyExposure).
+	Source string
+	// Handle and Reason are the dropped connection and its disconnect
+	// reason (FindingStalledAuthTimeout).
+	Handle bt.ConnHandle
+	Reason hci.Status
+	// PrevKeyType and KeyType are the replaced and the new key type
+	// (FindingKeyTypeDowngrade).
+	PrevKeyType, KeyType bt.LinkKeyType
+}
+
+// AppendDetail appends the finding's human-readable text to b: Detail
+// when it is set (a Report's finding), otherwise the text rendered from
+// the structured fields, byte for byte what Detail holds for the same
+// finding in a Report. TestFindingDetailText pins every kind's text.
+func (f Finding) AppendDetail(b []byte) []byte {
+	if f.Detail != "" {
+		return append(b, f.Detail...)
+	}
+	switch f.Kind {
+	case FindingKeyExposure:
+		b = append(b, "frame "...)
+		b = strconv.AppendInt(b, int64(f.Frame), 10)
+		b = append(b, ": 128-bit link key in plaintext via "...)
+		return append(b, f.Source...)
+	case FindingPageBlocking:
+		return append(b, "pairing initiated locally over an incoming connection whose initiator "+
+			"claims NoInputNoOutput (the Fig. 12b signature)"...)
+	case FindingSilentRepairing:
+		return append(b, "full pairing completed on a session whose peer was already answered "+
+			"with a stored link key — silent automatic re-pairing (Stealtooth signature)"...)
+	case FindingSilentKeyChange:
+		b = append(b, "link key for "...)
+		b, _ = f.Peer.AppendText(b)
+		return append(b, " replaced within one capture "+
+			"(previous sighting differs) — stored-key overwrite signature"...)
+	case FindingKeyTypeDowngrade:
+		b = append(b, "key type for "...)
+		b, _ = f.Peer.AppendText(b)
+		b = append(b, " downgraded from "...)
+		b = append(b, f.PrevKeyType.String()...)
+		b = append(b, " to "...)
+		b = append(b, f.KeyType.String()...)
+		return append(b, " — MITM protection lost (BLURtooth-style downgrade)"...)
+	case FindingStalledAuthTimeout:
+		const hex = "0123456789abcdef"
+		h := uint16(f.Handle)
+		b = append(b, "authentication on handle 0x"...)
+		b = append(b, hex[h>>12], hex[h>>8&0xf], hex[h>>4&0xf], hex[h&0xf])
+		b = append(b, " never completed; link dropped with "...)
+		b = append(b, f.Reason.String()...)
+		return append(b, " — the trace a link key extraction stall leaves behind"...)
+	}
+	return b
 }
 
 // Finding kinds.
@@ -129,7 +192,7 @@ type Report struct {
 
 // sessionState is the single-pass session reducer at the core of every
 // entry point (Analyze, AnalyzeBatch, the live Detector). It consumes
-// typed HCI messages in capture order; because its input is a pure
+// decoded HCI messages in capture order; because its input is a pure
 // function of each record, feeding it from a record loop, a prefiltered
 // batch scan, or a live socket yields bit-identical reports. Findings
 // are emitted the moment the last record completing them is applied —
@@ -159,6 +222,9 @@ type sessionState struct {
 	// live keeps no batch report: emit and exposure only forward, and
 	// rep.Sessions is trimmed to the sessions the lookup maps reach.
 	live bool
+	// text is the reused buffer emit renders a report finding's Detail
+	// into.
+	text []byte
 }
 
 func newSessionState() *sessionState {
@@ -173,13 +239,17 @@ func newSessionState() *sessionState {
 	}
 }
 
-// emit appends one finding to the report (unless live), stamped with the
-// frame that completed it, and forwards it to the live hook if one is
-// installed.
+// emit stamps one structured finding with the frame that completed it
+// and forwards it to the live hook if one is installed. Unless live, it
+// also appends the finding to the report in the report's form: Detail
+// rendered, the structured fields dropped.
 func (st *sessionState) emit(f Finding) {
 	f.Frame = st.frame
 	if !st.live {
-		st.rep.Findings = append(st.rep.Findings, f)
+		st.text = f.AppendDetail(st.text[:0])
+		st.rep.Findings = append(st.rep.Findings, Finding{
+			Kind: f.Kind, Frame: f.Frame, Peer: f.Peer, Detail: string(st.text), Session: f.Session,
+		})
 	}
 	if st.onFinding != nil {
 		st.onFinding(f)
@@ -194,13 +264,7 @@ func (st *sessionState) exposure(source string, peer bt.BDADDR, key bt.LinkKey) 
 			Frame: st.frame, Source: source, Peer: peer, Key: key,
 		})
 	}
-	// Built by concatenation rather than fmt.Sprintf: exposures are the
-	// most common finding by far and this runs inside the hot ingest loop.
-	st.emit(Finding{
-		Kind:   FindingKeyExposure,
-		Peer:   peer,
-		Detail: "frame " + strconv.Itoa(st.frame) + ": 128-bit link key in plaintext via " + source,
-	})
+	st.emit(Finding{Kind: FindingKeyExposure, Peer: peer, Source: source})
 }
 
 // liveSessions returns the sessions a future record can still reach:
@@ -253,124 +317,97 @@ func (st *sessionState) checkPageBlocking(s *Session) {
 	}
 	if s.Incoming && s.LocalPairingInitiation && s.HavePeerIOCap && s.PeerIOCap == bt.NoInputNoOutput {
 		s.flaggedPageBlocking = true
-		st.emit(Finding{
-			Kind: FindingPageBlocking,
-			Peer: s.Peer,
-			Detail: "pairing initiated locally over an incoming connection whose initiator " +
-				"claims NoInputNoOutput (the Fig. 12b signature)",
-			Session: s,
-		})
+		st.emit(Finding{Kind: FindingPageBlocking, Peer: s.Peer, Session: s})
 	}
 }
 
-// apply folds one decoded message (a typed *hci.Command or *hci.Event
-// from decodeRecord) into the session state. frame is the record's
-// 1-based capture position, ts its timestamp.
-func (st *sessionState) apply(frame int, ts time.Time, msg any) {
+// apply folds one decoded message into the session state. frame is the
+// record's 1-based capture position, ts its timestamp.
+func (st *sessionState) apply(frame int, ts time.Time, m *hciMsg) {
 	st.frame, st.ts = frame, ts
 	rep := st.rep
-	switch m := msg.(type) {
-	case *hci.AcceptConnectionRequest:
-		st.pendingIncoming[m.Addr] = true
-	case *hci.AuthenticationRequested:
-		if s := st.byHandle[m.Handle]; s != nil {
+	switch m.kind {
+	case msgAcceptConnection:
+		st.pendingIncoming[m.addr] = true
+	case msgAuthRequested:
+		if s := st.byHandle[m.handle]; s != nil {
 			s.LocalPairingInitiation = true
-			st.authPending[m.Handle] = true
+			st.authPending[m.handle] = true
 			st.checkPageBlocking(s)
 		}
-	case *hci.LinkKeyRequestReply:
-		st.exposure(hci.OpLinkKeyRequestReply.String(), m.Addr, m.Key)
-		st.lastKey[m.Addr] = m.Key
-		if s := st.byPeer[m.Addr]; s != nil {
+	case msgLinkKeyReply:
+		st.exposure(hci.OpLinkKeyRequestReply.String(), m.addr, m.key)
+		st.lastKey[m.addr] = m.key
+		if s := st.byPeer[m.addr]; s != nil {
 			s.suppliedStoredKey = true
 		}
 
-	case *hci.ConnectionComplete:
-		if m.Status != hci.StatusSuccess {
+	case msgConnectionComplete:
+		if m.status != hci.StatusSuccess {
 			// A failed completion still consumes the pending accept:
 			// leaving it would misflag a later outgoing session to the
 			// same peer as incoming (a false page-blocking signature).
-			delete(st.pendingIncoming, m.Addr)
+			delete(st.pendingIncoming, m.addr)
 			return
 		}
 		s := &Session{
-			Handle:      m.Handle,
-			Peer:        m.Addr,
-			Incoming:    st.pendingIncoming[m.Addr],
+			Handle:      m.handle,
+			Peer:        m.addr,
+			Incoming:    st.pendingIncoming[m.addr],
 			ConnectedAt: ts,
 		}
-		delete(st.pendingIncoming, m.Addr)
-		st.byHandle[m.Handle] = s
-		st.byPeer[m.Addr] = s
+		delete(st.pendingIncoming, m.addr)
+		st.byHandle[m.handle] = s
+		st.byPeer[m.addr] = s
 		rep.Sessions = append(rep.Sessions, s)
 		st.trim()
-	case *hci.IOCapabilityResponse:
-		if s := st.byPeer[m.Addr]; s != nil {
-			s.PeerIOCap = m.Capability
+	case msgIOCapResponse:
+		if s := st.byPeer[m.addr]; s != nil {
+			s.PeerIOCap = m.ioCap
 			s.HavePeerIOCap = true
 			st.checkPageBlocking(s)
 		}
-	case *hci.SimplePairingComplete:
-		if s := st.byPeer[m.Addr]; s != nil {
-			s.PairingCompleted = m.Status == hci.StatusSuccess
-			s.PairingStatus = m.Status
+	case msgPairingComplete:
+		if s := st.byPeer[m.addr]; s != nil {
+			s.PairingCompleted = m.status == hci.StatusSuccess
+			s.PairingStatus = m.status
 			if s.PairingCompleted && s.suppliedStoredKey && !s.flaggedSilentRepair {
 				s.flaggedSilentRepair = true
-				st.emit(Finding{
-					Kind: FindingSilentRepairing,
-					Peer: s.Peer,
-					Detail: "full pairing completed on a session whose peer was already answered " +
-						"with a stored link key — silent automatic re-pairing (Stealtooth signature)",
-					Session: s,
-				})
+				st.emit(Finding{Kind: FindingSilentRepairing, Peer: s.Peer, Session: s})
 			}
 		}
-	case *hci.AuthenticationComplete:
-		if s := st.byHandle[m.Handle]; s != nil {
-			s.AuthOutcomes = append(s.AuthOutcomes, m.Status)
-			delete(st.authPending, m.Handle)
+	case msgAuthComplete:
+		if s := st.byHandle[m.handle]; s != nil {
+			s.AuthOutcomes = append(s.AuthOutcomes, m.status)
+			delete(st.authPending, m.handle)
 		}
-	case *hci.LinkKeyNotification:
-		st.exposure(hci.EvLinkKeyNotification.String(), m.Addr, m.Key)
-		if prev, ok := st.lastKey[m.Addr]; ok && prev != m.Key {
+	case msgLinkKeyNotification:
+		st.exposure(hci.EvLinkKeyNotification.String(), m.addr, m.key)
+		if prev, ok := st.lastKey[m.addr]; ok && prev != m.key {
+			st.emit(Finding{Kind: FindingSilentKeyChange, Peer: m.addr, Session: st.byPeer[m.addr]})
+		}
+		if prevT, ok := st.lastKeyType[m.addr]; ok &&
+			isAuthenticatedKeyType(prevT) && !isAuthenticatedKeyType(m.keyType) {
 			st.emit(Finding{
-				Kind: FindingSilentKeyChange,
-				Peer: m.Addr,
-				Detail: "link key for " + m.Addr.String() + " replaced within one capture " +
-					"(previous sighting differs) — stored-key overwrite signature",
-				Session: st.byPeer[m.Addr],
+				Kind: FindingKeyTypeDowngrade, Peer: m.addr, Session: st.byPeer[m.addr],
+				PrevKeyType: prevT, KeyType: m.keyType,
 			})
 		}
-		if prevT, ok := st.lastKeyType[m.Addr]; ok &&
-			isAuthenticatedKeyType(prevT) && !isAuthenticatedKeyType(m.KeyType) {
-			st.emit(Finding{
-				Kind: FindingKeyTypeDowngrade,
-				Peer: m.Addr,
-				Detail: "key type for " + m.Addr.String() + " downgraded from " + prevT.String() +
-					" to " + m.KeyType.String() + " — MITM protection lost (BLURtooth-style downgrade)",
-				Session: st.byPeer[m.Addr],
-			})
-		}
-		st.lastKey[m.Addr] = m.Key
-		st.lastKeyType[m.Addr] = m.KeyType
-	case *hci.DisconnectionComplete:
-		if s := st.byHandle[m.Handle]; s != nil {
+		st.lastKey[m.addr] = m.key
+		st.lastKeyType[m.addr] = m.keyType
+	case msgDisconnection:
+		if s := st.byHandle[m.handle]; s != nil {
 			s.Disconnected = true
-			s.DisconnectReason = m.Reason
+			s.DisconnectReason = m.reason
 			s.EndsAt = ts
-			delete(st.byHandle, m.Handle)
+			delete(st.byHandle, m.handle)
 			if st.byPeer[s.Peer] == s {
 				delete(st.byPeer, s.Peer)
 			}
-			if st.authPending[s.Handle] && isTimeout(m.Reason) {
-				h := strconv.FormatUint(uint64(s.Handle), 16)
+			if st.authPending[s.Handle] && isTimeout(m.reason) {
 				st.emit(Finding{
-					Kind: FindingStalledAuthTimeout,
-					Peer: s.Peer,
-					Detail: "authentication on handle 0x" + "0000"[len(h):] + h +
-						" never completed; link dropped with " + m.Reason.String() +
-						" — the trace a link key extraction stall leaves behind",
-					Session: s,
+					Kind: FindingStalledAuthTimeout, Peer: s.Peer, Session: s,
+					Handle: s.Handle, Reason: m.reason,
 				})
 			}
 			delete(st.authPending, s.Handle)
@@ -403,8 +440,8 @@ func buildEventTable() (t [256]bool) {
 	return t
 }
 
-// RelevantRecord classifies one raw H4 record before any copy or typed
-// parse: only the three command opcodes and six event codes the session
+// RelevantRecord classifies one raw H4 record before any copy or
+// decode: only the three command opcodes and six event codes the session
 // reducer consumes pass. Everything else — ACL data above all, plus
 // unrelated commands and events — is dismissed on the indicator octet
 // and at most one opcode/event-code peek, with zero allocation. This is
@@ -428,42 +465,132 @@ func RelevantRecord(raw []byte) bool {
 	return false
 }
 
-// decodeRelevant fully parses a record that passed RelevantRecord. The
-// borrow-parse never copies the body; the typed results copy the fields
-// they keep, so nothing of raw is retained.
-func decodeRelevant(dir hci.Direction, raw []byte) any {
-	pkt, err := hci.ParseWireBorrow(dir, raw)
-	if err != nil {
-		return nil
-	}
-	if pkt.PT == hci.PTCommand {
-		cmd, err := hci.ParseCommand(pkt)
-		if err != nil {
-			return nil
+// msgKind names which of the nine HCI messages the reducer consumes a
+// kept record decoded to.
+type msgKind uint8
+
+const (
+	msgNone                msgKind = iota
+	msgAcceptConnection            // HCI_Accept_Connection_Request: addr
+	msgAuthRequested               // HCI_Authentication_Requested: handle
+	msgLinkKeyReply                // HCI_Link_Key_Request_Reply: addr, key
+	msgConnectionComplete          // HCI_Connection_Complete: status, handle, addr
+	msgIOCapResponse               // HCI_IO_Capability_Response: addr, ioCap
+	msgPairingComplete             // HCI_Simple_Pairing_Complete: status, addr
+	msgAuthComplete                // HCI_Authentication_Complete: status, handle
+	msgLinkKeyNotification         // HCI_Link_Key_Notification: addr, key, keyType
+	msgDisconnection               // HCI_Disconnection_Complete: status, handle, reason
+)
+
+// hciMsg is one kept record decoded in place: which consumed message it
+// is and the fields the reducer reads from it. The push loops reuse one
+// value for every record, so decoding builds no typed hci message and
+// allocates nothing. A field the message does not carry (see the msgKind
+// comments) keeps whatever an earlier record left there and is never
+// read.
+type hciMsg struct {
+	kind    msgKind
+	handle  bt.ConnHandle
+	addr    bt.BDADDR
+	key     bt.LinkKey
+	status  hci.Status
+	reason  hci.Status
+	keyType bt.LinkKeyType
+	ioCap   bt.IOCapability
+}
+
+// decode fills m from one raw H4 record and reports whether it is one of
+// the nine messages the reducer consumes. It accepts and rejects exactly
+// the records hci.ParseWireBorrow plus ParseCommand/ParseEvent accept
+// and reject among those: the length octet must match the body, a
+// parameter block shorter than the message means no record, and
+// trailing parameter bytes are ignored. FuzzDecodeKept pins the parity.
+func (m *hciMsg) decode(raw []byte) bool {
+	switch {
+	case len(raw) >= 4 && hci.PacketType(raw[0]) == hci.PTCommand:
+		p := raw[4:]
+		if int(raw[3]) != len(p) {
+			return false
 		}
-		return cmd
+		switch hci.Opcode(uint16(raw[1]) | uint16(raw[2])<<8) {
+		case hci.OpAcceptConnectionRequest: // BD_ADDR, role
+			if len(p) < 7 {
+				return false
+			}
+			m.kind, m.addr = msgAcceptConnection, wireAddr(p)
+		case hci.OpAuthenticationRequested: // handle
+			if len(p) < 2 {
+				return false
+			}
+			m.kind, m.handle = msgAuthRequested, wireHandle(p)
+		case hci.OpLinkKeyRequestReply: // BD_ADDR, link key
+			if len(p) < 22 {
+				return false
+			}
+			m.kind, m.addr, m.key = msgLinkKeyReply, wireAddr(p), wireKey(p[6:])
+		default:
+			return false
+		}
+		return true
+	case len(raw) >= 3 && hci.PacketType(raw[0]) == hci.PTEvent:
+		p := raw[3:]
+		if int(raw[2]) != len(p) {
+			return false
+		}
+		switch hci.EventCode(raw[1]) {
+		case hci.EvConnectionComplete: // status, handle, BD_ADDR, link type, encryption
+			if len(p) < 11 {
+				return false
+			}
+			m.kind, m.status, m.handle, m.addr = msgConnectionComplete, hci.Status(p[0]), wireHandle(p[1:]), wireAddr(p[3:])
+		case hci.EvIOCapabilityResponse: // BD_ADDR, capability, OOB, auth requirements
+			if len(p) < 9 {
+				return false
+			}
+			m.kind, m.addr, m.ioCap = msgIOCapResponse, wireAddr(p), bt.IOCapability(p[6])
+		case hci.EvSimplePairingComplete: // status, BD_ADDR
+			if len(p) < 7 {
+				return false
+			}
+			m.kind, m.status, m.addr = msgPairingComplete, hci.Status(p[0]), wireAddr(p[1:])
+		case hci.EvAuthenticationComplete: // status, handle
+			if len(p) < 3 {
+				return false
+			}
+			m.kind, m.status, m.handle = msgAuthComplete, hci.Status(p[0]), wireHandle(p[1:])
+		case hci.EvLinkKeyNotification: // BD_ADDR, link key, key type
+			if len(p) < 23 {
+				return false
+			}
+			m.kind, m.addr, m.key, m.keyType = msgLinkKeyNotification, wireAddr(p), wireKey(p[6:]), bt.LinkKeyType(p[22])
+		case hci.EvDisconnectionComplete: // status, handle, reason
+			if len(p) < 4 {
+				return false
+			}
+			m.kind, m.status, m.handle, m.reason = msgDisconnection, hci.Status(p[0]), wireHandle(p[1:]), hci.Status(p[3])
+		default:
+			return false
+		}
+		return true
 	}
-	evt, err := hci.ParseEvent(pkt)
-	if err != nil {
-		return nil
-	}
-	return evt
+	return false
 }
 
-// decodeRecord classifies one raw H4 record and fully parses only the
-// packet kinds the reducer consumes, returning nil for everything else.
-func decodeRecord(dir hci.Direction, raw []byte) any {
-	if !RelevantRecord(raw) {
-		return nil
-	}
-	return decodeRelevant(dir, raw)
+// wireHandle, wireAddr and wireKey read the little-endian wire forms the
+// hci typed parsers read: a connection handle, and an address or link
+// key stored least-significant byte first.
+func wireHandle(p []byte) bt.ConnHandle { return bt.ConnHandle(uint16(p[0]) | uint16(p[1])<<8) }
+
+func wireAddr(p []byte) bt.BDADDR {
+	return bt.BDADDR{p[5], p[4], p[3], p[2], p[1], p[0]}
 }
 
-func recordDir(rec snoop.Record) hci.Direction {
-	if rec.Received() {
-		return hci.DirControllerToHost
+func wireKey(p []byte) (k bt.LinkKey) {
+	_ = p[15]
+	for i := range k {
+		k[i] = p[15-i]
 	}
-	return hci.DirHostToController
+	return k
 }
 
 // Analyze reconstructs sessions and findings from capture records. It is

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/bt"
 	"repro/internal/hci"
@@ -159,13 +158,14 @@ func TestLiveDetectorMatchesFull(t *testing.T) {
 	}
 }
 
-// sameWireEvent compares what the JSONL stream carries of an event.
-// Restored findings point at restored Session copies, so the *Session
-// is not compared.
+// sameWireEvent compares what the JSONL stream carries of an event,
+// the finding text as AppendDetail renders it. Restored findings point
+// at restored Session copies, so the *Session is not compared.
 func sameWireEvent(a, b Event) bool {
 	return a.Seq == b.Seq && a.Frame == b.Frame && a.Time.Equal(b.Time) &&
 		a.Finding.Kind == b.Finding.Kind && a.Finding.Frame == b.Finding.Frame &&
-		a.Finding.Peer == b.Finding.Peer && a.Finding.Detail == b.Finding.Detail
+		a.Finding.Peer == b.Finding.Peer &&
+		bytes.Equal(a.Finding.AppendDetail(nil), b.Finding.AppendDetail(nil))
 }
 
 // TestLiveDetectorStateIsBounded: over a long dense capture, a live
@@ -200,7 +200,10 @@ func TestLiveDetectorStateIsBounded(t *testing.T) {
 
 // TestFindingDetailText pins the exact Detail text of every finding kind.
 // The JSONL stream and the stored findings carry these strings, so they
-// must not drift when the code that builds them changes.
+// must not drift when the code that builds them changes. The messages
+// are encoded to wire records and go through the in-place decoder, and
+// both forms are checked: the report's Detail and the text the drained
+// events render with AppendDetail.
 func TestFindingDetailText(t *testing.T) {
 	peer := bt.MustBDADDR("00:1a:7d:da:71:0a")
 	other := bt.MustBDADDR("f0:0d:ca:fe:00:ff")
@@ -208,23 +211,23 @@ func TestFindingDetailText(t *testing.T) {
 	k2 := bt.MustLinkKey("ffeeddccbbaa99887766554433221100")
 	k3 := bt.MustLinkKey("0123456789abcdef0123456789abcdef")
 
-	st := newSessionState()
+	d := NewDetector()
 	ok := hci.StatusSuccess
-	for i, msg := range []any{
-		&hci.AcceptConnectionRequest{Addr: peer},
-		&hci.ConnectionComplete{Status: ok, Handle: 0x000b, Addr: peer},
-		&hci.AuthenticationRequested{Handle: 0x000b},
-		&hci.IOCapabilityResponse{Addr: peer, Capability: bt.NoInputNoOutput},
-		&hci.LinkKeyRequestReply{Addr: peer, Key: k1},
-		&hci.SimplePairingComplete{Status: ok, Addr: peer},
-		&hci.LinkKeyNotification{Addr: peer, Key: k2, KeyType: bt.KeyTypeAuthenticatedP256},
-		&hci.LinkKeyNotification{Addr: peer, Key: k3, KeyType: bt.KeyTypeUnauthenticatedP192},
-		&hci.DisconnectionComplete{Status: ok, Handle: 0x000b, Reason: hci.StatusConnectionTimeout},
-		&hci.ConnectionComplete{Status: ok, Handle: 0x0abc, Addr: other},
-		&hci.AuthenticationRequested{Handle: 0x0abc},
-		&hci.DisconnectionComplete{Status: ok, Handle: 0x0abc, Reason: hci.StatusLMPResponseTimeout},
+	for _, pkt := range []hci.Packet{
+		hci.EncodeCommand(&hci.AcceptConnectionRequest{Addr: peer}),
+		hci.EncodeEvent(&hci.ConnectionComplete{Status: ok, Handle: 0x000b, Addr: peer}),
+		hci.EncodeCommand(&hci.AuthenticationRequested{Handle: 0x000b}),
+		hci.EncodeEvent(&hci.IOCapabilityResponse{Addr: peer, Capability: bt.NoInputNoOutput}),
+		hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: peer, Key: k1}),
+		hci.EncodeEvent(&hci.SimplePairingComplete{Status: ok, Addr: peer}),
+		hci.EncodeEvent(&hci.LinkKeyNotification{Addr: peer, Key: k2, KeyType: bt.KeyTypeAuthenticatedP256}),
+		hci.EncodeEvent(&hci.LinkKeyNotification{Addr: peer, Key: k3, KeyType: bt.KeyTypeUnauthenticatedP192}),
+		hci.EncodeEvent(&hci.DisconnectionComplete{Status: ok, Handle: 0x000b, Reason: hci.StatusConnectionTimeout}),
+		hci.EncodeEvent(&hci.ConnectionComplete{Status: ok, Handle: 0x0abc, Addr: other}),
+		hci.EncodeCommand(&hci.AuthenticationRequested{Handle: 0x0abc}),
+		hci.EncodeEvent(&hci.DisconnectionComplete{Status: ok, Handle: 0x0abc, Reason: hci.StatusLMPResponseTimeout}),
 	} {
-		st.apply(i+1, time.Time{}, msg)
+		d.Push(snoop.Record{Data: pkt.Wire()})
 	}
 
 	want := []Finding{
@@ -239,15 +242,19 @@ func TestFindingDetailText(t *testing.T) {
 		{Kind: FindingStalledAuthTimeout, Frame: 9, Peer: peer, Detail: "authentication on handle 0x000b never completed; link dropped with Connection Timeout — the trace a link key extraction stall leaves behind"},
 		{Kind: FindingStalledAuthTimeout, Frame: 12, Peer: other, Detail: "authentication on handle 0x0abc never completed; link dropped with LMP Response Timeout — the trace a link key extraction stall leaves behind"},
 	}
-	got := st.finish().Findings
-	if len(got) != len(want) {
-		t.Fatalf("%d findings, want %d:\n%s", len(got), len(want), st.finish().Render())
+	rep := d.Finish()
+	events := d.Drain()
+	if len(rep.Findings) != len(want) || len(events) != len(want) {
+		t.Fatalf("%d findings and %d events, want %d:\n%s", len(rep.Findings), len(events), len(want), rep.Render())
 	}
 	for i, w := range want {
-		g := got[i]
+		g := rep.Findings[i]
 		if g.Kind != w.Kind || g.Frame != w.Frame || g.Peer != w.Peer || g.Detail != w.Detail {
 			t.Errorf("finding %d:\ngot:  %s %d %s %q\nwant: %s %d %s %q",
 				i, g.Kind, g.Frame, g.Peer, g.Detail, w.Kind, w.Frame, w.Peer, w.Detail)
+		}
+		if e := events[i].Finding; !eventMatchesFinding(e, g) || string(e.AppendDetail(nil)) != w.Detail {
+			t.Errorf("event %d renders %q (%+v), want %q", i, e.AppendDetail(nil), e, w.Detail)
 		}
 	}
 }
@@ -317,4 +324,66 @@ func FuzzRestoreState(f *testing.F) {
 			t.Fatalf("live snapshots diverge after restore:\nfull: %x\nlive: %x", want, got)
 		}
 	})
+}
+
+// denseKept synthesizes a dense capture (a session every 8 records, a
+// finding about every 10) and pre-scans it into the prefiltered batches
+// blapd's detector loop sees, with blapd's 256 KiB scanner blocks. It
+// returns the batches and the number of kept records.
+func denseKept(tb testing.TB, records int, seed int64) ([]keptBatch, int) {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := snoop.Synthesize(&buf, snoop.SynthConfig{Records: records, Seed: seed, SessionEvery: 8}); err != nil {
+		tb.Fatal(err)
+	}
+	batches := scanKept(tb, buf.Bytes(), 256<<10)
+	kept := 0
+	for _, b := range batches {
+		kept += len(b.recs)
+	}
+	return batches, kept
+}
+
+// reduceLive runs blapd's detector loop over pre-scanned batches: one
+// live detector, PushKept and Drain per batch.
+func reduceLive(batches []keptBatch) *Detector {
+	d := NewLiveDetector()
+	for _, b := range batches {
+		d.PushKept(b.frames, b.recs)
+		d.Drain()
+	}
+	return d
+}
+
+// TestPushKeptAllocs bounds the live reducer's allocations on a dense
+// capture. Decoding in place and structured findings leave one *Session
+// per successful connection and one burst slice per Drain, well under
+// 0.4 allocations per kept record; a typed message per record or a
+// Detail string per finding would each break the bound on its own.
+func TestPushKeptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector distorts allocation counts")
+	}
+	batches, kept := denseKept(t, 200_000, 1)
+	allocs := testing.AllocsPerRun(3, func() { reduceLive(batches) })
+	if per := allocs / float64(kept); per > 0.4 {
+		t.Fatalf("%.0f allocations for %d kept records: %.3f per record, bound 0.4", allocs, kept, per)
+	}
+}
+
+// BenchmarkLiveReduceDense times the reducer layer of live ingest alone:
+// NewLiveDetector, PushKept and Drain over a 1M-record dense capture
+// whose batches were scanned and prefiltered outside the timer. It
+// reports the cost per kept record and per finding.
+func BenchmarkLiveReduceDense(b *testing.B) {
+	batches, kept := denseKept(b, 1_000_000, 1)
+	findings := reduceLive(batches).Findings()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reduceLive(batches)
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns/float64(kept), "ns/kept")
+	b.ReportMetric(ns/float64(findings), "ns/finding")
 }

@@ -157,11 +157,13 @@ func appendStamp(b []byte, ts int64) []byte {
 // stream to b: the bytes appendJSON produces for the finding Event with
 // Type, Stream, TS, Seq, Frame, Kind, Peer, Detail and CaptureTS set —
 // the same field order, omitempty rules and escaping — without building
-// that Event or its peer and capture-time strings. ts is the rendered
-// emission stamp (appendStamp), empty when timestamps are off. The
-// stamp, the peer and the capture time are written unescaped: RFC3339
-// in UTC and the colon-hex address use only characters JSON passes
-// through verbatim. TestAppendFindingMatchesEventJSON pins the identity.
+// that Event or its peer, detail and capture-time strings. The detail
+// text is rendered by Finding.AppendDetail into a stack buffer and
+// escaped from there. ts is the rendered emission stamp (appendStamp),
+// empty when timestamps are off. The stamp, the peer and the capture
+// time are written unescaped: RFC3339 in UTC and the colon-hex address
+// use only characters JSON passes through verbatim.
+// TestAppendFindingMatchesEventJSON pins the identity.
 func appendFinding(b []byte, stream uint64, ts []byte, ev *forensics.Event) []byte {
 	b = append(b, `{"type":"finding","stream":`...)
 	b = strconv.AppendUint(b, stream, 10)
@@ -185,9 +187,10 @@ func appendFinding(b []byte, stream uint64, ts []byte, ev *forensics.Event) []by
 	b = append(b, `,"peer":"`...)
 	b, _ = ev.Finding.Peer.AppendText(b)
 	b = append(b, '"')
-	if ev.Finding.Detail != "" {
+	var text [256]byte
+	if detail := ev.Finding.AppendDetail(text[:0]); len(detail) > 0 {
 		b = append(b, `,"detail":`...)
-		b = appendJSONString(b, ev.Finding.Detail)
+		b = appendJSONString(b, detail)
 	}
 	b = append(b, `,"capture_ts":"`...)
 	b = ev.Time.UTC().AppendFormat(b, time.RFC3339Nano)
@@ -280,13 +283,6 @@ func (ev *Event) appendJSON(b []byte) []byte {
 
 const jsonHex = "0123456789abcdef"
 
-// appendJSONString appends s as a JSON string literal using exactly
-// encoding/json's escaping rules (HTML-escaping on, as json.Marshal
-// defaults): quote, backslash, and control bytes are escaped (the JSON
-// short forms where they exist, \u00xx otherwise), '<', '>', and '&'
-// become </>/&, invalid UTF-8 bytes become �, and
-// U+2028/U+2029 are escaped for JS embedding. Everything else is
-// copied verbatim in bulk runs between escapes.
 // jsonSafe marks the ASCII bytes that pass through appendJSONString
 // unescaped. A table lookup here keeps the escaper's hot loop — run on
 // every event string the daemon emits — to one load and one branch per
@@ -298,7 +294,15 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 	return
 }()
 
-func appendJSONString(b []byte, s string) []byte {
+// appendJSONString appends s, a string or the bytes of one, as a JSON
+// string literal using exactly encoding/json's escaping rules
+// (HTML-escaping on, as json.Marshal defaults): quote, backslash, and
+// control bytes are escaped (the JSON short forms where they exist,
+// \u00xx otherwise), '<', '>', and '&' become \u003c, \u003e and
+// \u0026, invalid UTF-8 bytes become \ufffd, and U+2028/U+2029 are
+// escaped for JS embedding. Everything else is copied verbatim in bulk
+// runs between escapes.
+func appendJSONString[T string | []byte](b []byte, s T) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -328,7 +332,9 @@ func appendJSONString(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// At most one rune's bytes are converted: for a []byte s the
+		// short string lives on the stack.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		if r == utf8.RuneError && size == 1 {
 			b = append(b, s[start:i]...)
 			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')

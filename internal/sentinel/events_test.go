@@ -9,12 +9,13 @@ import (
 
 	"repro/internal/bt"
 	"repro/internal/forensics"
+	"repro/internal/hci"
 )
 
 // findingEvent is the reference rendering of one detector finding: the
 // Event the daemon built per finding before the shard writers rendered
-// bursts themselves. tss is the RFC3339Nano emission stamp, empty when
-// timestamps are off.
+// bursts themselves, with the finding text rendered by AppendDetail. tss
+// is the RFC3339Nano emission stamp, empty when timestamps are off.
 func findingEvent(id uint64, tss string, ev forensics.Event) Event {
 	return Event{
 		Type:      EventFinding,
@@ -24,7 +25,7 @@ func findingEvent(id uint64, tss string, ev forensics.Event) Event {
 		Frame:     ev.Frame,
 		Kind:      ev.Finding.Kind,
 		Peer:      ev.Finding.Peer.String(),
-		Detail:    ev.Finding.Detail,
+		Detail:    string(ev.Finding.AppendDetail(nil)),
 		CaptureTS: ev.Time.UTC().Format(time.RFC3339Nano),
 	}
 }
@@ -33,9 +34,11 @@ func findingEvent(id uint64, tss string, ev forensics.Event) Event {
 // reference: for randomized findings — zero and non-UTC capture times,
 // years outside 0000–9999, zero Seq and Frame, empty and hostile kinds
 // and details (quotes, backslashes, <, >, &, control bytes, invalid
-// UTF-8, U+2028/U+2029), timestamps on and off — appendFinding must
-// produce exactly json.Marshal and appendJSON of findingEvent, appended
-// after existing bytes without disturbing them.
+// UTF-8, U+2028/U+2029), structured findings of every kind as the
+// detector emits them (Detail empty, random handles, reasons, key types
+// and sources), timestamps on and off — appendFinding must produce
+// exactly json.Marshal and appendJSON of findingEvent, appended after
+// existing bytes without disturbing them.
 func TestAppendFindingMatchesEventJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	alphabet := []string{
@@ -73,7 +76,12 @@ func TestAppendFindingMatchesEventJSON(t *testing.T) {
 		}
 		return a
 	}
-	kinds := []string{forensics.FindingKeyExposure, forensics.FindingPageBlocking, forensics.FindingStalledAuthTimeout, ""}
+	kinds := []string{
+		forensics.FindingKeyExposure, forensics.FindingPageBlocking, forensics.FindingStalledAuthTimeout,
+		forensics.FindingSilentRepairing, forensics.FindingSilentKeyChange, forensics.FindingKeyTypeDowngrade, "",
+	}
+	sources := []string{hci.OpLinkKeyRequestReply.String(), hci.EvLinkKeyNotification.String()}
+	structured := make(map[string]bool) // kinds rendered from structured fields
 
 	var buf, tsBuf []byte
 	for i := 0; i < 5000; i++ {
@@ -90,7 +98,20 @@ func TestAppendFindingMatchesEventJSON(t *testing.T) {
 			ev.Finding.Kind = randStr()
 		}
 		ev.Finding.Peer = randAddr()
-		if rng.Intn(4) > 0 {
+		switch rng.Intn(3) {
+		case 0: // structured, as the detector emits it
+			ev.Finding.Source = sources[rng.Intn(len(sources))]
+			if rng.Intn(4) == 0 {
+				ev.Finding.Source = randStr()
+			}
+			ev.Finding.Handle = bt.ConnHandle(rng.Intn(1 << 16))
+			ev.Finding.Reason = hci.Status(rng.Intn(256))
+			ev.Finding.PrevKeyType = bt.LinkKeyType(rng.Intn(10))
+			ev.Finding.KeyType = bt.LinkKeyType(rng.Intn(10))
+			if len(ev.Finding.AppendDetail(nil)) > 0 {
+				structured[ev.Finding.Kind] = true
+			}
+		case 1:
 			ev.Finding.Detail = randStr()
 		}
 		stream := rng.Uint64() >> uint(rng.Intn(64))
@@ -119,6 +140,35 @@ func TestAppendFindingMatchesEventJSON(t *testing.T) {
 		buf = appendFinding(buf, stream, tsBuf, &ev)
 		if got := buf[len("prev|"):]; string(buf[:len("prev|")]) != "prev|" || !bytes.Equal(got, want) {
 			t.Fatalf("case %d: appendFinding diverges from the reference:\nevent: %+v\n got: %s\nwant: %s", i, ev, buf, want)
+		}
+	}
+	for _, k := range kinds[:6] {
+		if !structured[k] {
+			t.Errorf("no structured %s finding was rendered", k)
+		}
+	}
+}
+
+// TestAppendFindingAllocs: rendering a structured finding of any kind
+// into a buffer with room allocates nothing — the detail text goes
+// through a stack buffer straight into the escaped line.
+func TestAppendFindingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector distorts allocation counts")
+	}
+	peer := bt.MustBDADDR("00:1a:7d:da:71:0a")
+	buf := make([]byte, 0, 4096)
+	for _, f := range []forensics.Finding{
+		{Kind: forensics.FindingKeyExposure, Frame: 12345, Peer: peer, Source: hci.EvLinkKeyNotification.String()},
+		{Kind: forensics.FindingPageBlocking, Frame: 7, Peer: peer},
+		{Kind: forensics.FindingSilentRepairing, Frame: 7, Peer: peer},
+		{Kind: forensics.FindingSilentKeyChange, Frame: 7, Peer: peer},
+		{Kind: forensics.FindingKeyTypeDowngrade, Frame: 7, Peer: peer, PrevKeyType: bt.KeyTypeAuthenticatedP256, KeyType: bt.KeyTypeUnauthenticatedP192},
+		{Kind: forensics.FindingStalledAuthTimeout, Frame: 7, Peer: peer, Handle: 0x0abc, Reason: hci.StatusLMPResponseTimeout},
+	} {
+		ev := forensics.Event{Seq: 1, Frame: f.Frame, Time: time.Unix(1700000000, 5).UTC(), Finding: f}
+		if n := testing.AllocsPerRun(100, func() { buf = appendFinding(buf[:0], 3, nil, &ev) }); n != 0 {
+			t.Errorf("%s: %.1f allocations per rendered finding", f.Kind, n)
 		}
 	}
 }

@@ -9,6 +9,9 @@
 # checked here; current performance numbers come from bash bench/run.sh.
 set -eux
 
+# Formatting: gofmt must have nothing to rewrite in the root module.
+test -z "$(gofmt -l ./internal ./cmd ./examples ./*.go)"
+
 go build ./...
 go vet ./...
 go test ./...
@@ -33,10 +36,16 @@ go test -run xxx -bench BenchmarkSSPPairing -benchtime 1x ./internal/btcrypto
 # the live finding count differs from AnalyzeBytes or anything drops.
 go test -run xxx -bench BenchmarkIngestDense -benchtime 1x ./internal/sentinel
 
+# Live reducer alone: one pass of NewLiveDetector + PushKept + Drain over
+# a pre-scanned 1M-record dense capture (ns per kept record, allocs/op).
+go test -run xxx -bench BenchmarkLiveReduceDense -benchtime 1x ./internal/forensics
+
 # Untrusted-input fuzz smoke: a few seconds each on the session
-# handshake + chunk reader and on the /query parameter parser.
+# handshake + chunk reader, on the /query parameter parser, and on the
+# detector's in-place record decoder against the typed hci parsers.
 go test -run '^$' -fuzz '^FuzzSessionHandshake$' -fuzztime 5s ./internal/sentinel
 go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 5s ./internal/sentinel
+go test -run '^$' -fuzz '^FuzzDecodeKept$' -fuzztime 5s ./internal/forensics
 
 # Live detection daemon: self-contained end-to-end smoke (ephemeral
 # sockets, live JSONL events verified against the batch analyzer on
