@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bt"
@@ -12,7 +12,7 @@ import (
 )
 
 // Detector checkpointing: SnapshotState serializes the full incremental
-// state of a Detector — the session reducer's report, its lookup maps,
+// state of a Detector — the session reducer's report, its lookup tables,
 // and the detector's frame/sequence counters — into a versioned,
 // deterministic byte string, and RestoreState rebuilds an identical
 // Detector from it. "Deterministic" is a contract, not an accident:
@@ -45,7 +45,7 @@ func (d *Detector) SnapshotState() ([]byte, error) {
 }
 
 // SnapshotLiveState serializes only the state future detection reads:
-// counters, lookup maps, and the sessions those maps still reference.
+// counters, lookup tables, and the sessions those tables still reference.
 // The accumulated report — exposures, findings, disconnected sessions —
 // is omitted, which is what keeps periodic checkpointing off the hot
 // path: the report grows without bound over a long capture while the
@@ -157,82 +157,95 @@ func (d *Detector) snapshot(live bool) ([]byte, error) {
 		b = appendCkpInt(b, int64(si))
 	}
 
-	// Lookup maps, serialized in sorted key order so identical states
-	// produce identical bytes regardless of map iteration order.
-	handles := make([]bt.ConnHandle, 0, len(st.byHandle))
-	for h := range st.byHandle {
+	// The two tables, serialized as the six sorted sections of v2: handle
+	// sessions, peer sessions, pending accepts, pending authentications,
+	// and the two key baselines. Keys are written in ascending order, so
+	// identical states produce identical bytes regardless of map iteration
+	// order; peerKey makes numeric order the address byte order.
+	handles := make([]uint32, 0, len(st.handles))
+	for h := range st.handles {
 		handles = append(handles, h)
 	}
-	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(handles)))
-	for _, h := range handles {
-		i, ok := idx[st.byHandle[h]]
-		if !ok {
-			return nil, fmt.Errorf("forensics: byHandle references a session outside the report")
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(h))
-		b = binary.LittleEndian.AppendUint32(b, uint32(i))
-	}
-
-	peers := make([]bt.BDADDR, 0, len(st.byPeer))
-	for p := range st.byPeer {
+	slices.Sort(handles)
+	peers := make([]uint64, 0, len(st.peers))
+	for p := range st.peers {
 		peers = append(peers, p)
 	}
-	sort.Slice(peers, func(i, j int) bool { return bytes.Compare(peers[i][:], peers[j][:]) < 0 })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(peers)))
-	for _, p := range peers {
-		i, ok := idx[st.byPeer[p]]
-		if !ok {
-			return nil, fmt.Errorf("forensics: byPeer references a session outside the report")
+	slices.Sort(peers)
+
+	at, n := len(b), uint32(0)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for _, h := range handles {
+		if s := st.handles[h].session; s != nil {
+			i, ok := idx[s]
+			if !ok {
+				return nil, fmt.Errorf("forensics: handle table references a session outside the report")
+			}
+			b = binary.LittleEndian.AppendUint16(b, uint16(h))
+			b = binary.LittleEndian.AppendUint32(b, uint32(i))
+			n++
 		}
-		b = append(b, p[:]...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(i))
 	}
+	binary.LittleEndian.PutUint32(b[at:], n)
 
-	pending := make([]bt.BDADDR, 0, len(st.pendingIncoming))
-	for p := range st.pendingIncoming {
-		pending = append(pending, p)
+	at, n = len(b), 0
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for _, k := range peers {
+		if s := st.peers[k].session; s != nil {
+			i, ok := idx[s]
+			if !ok {
+				return nil, fmt.Errorf("forensics: peer table references a session outside the report")
+			}
+			b = appendPeer(b, k)
+			b = binary.LittleEndian.AppendUint32(b, uint32(i))
+			n++
+		}
 	}
-	sort.Slice(pending, func(i, j int) bool { return bytes.Compare(pending[i][:], pending[j][:]) < 0 })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(pending)))
-	for _, p := range pending {
-		b = append(b, p[:]...)
-	}
+	binary.LittleEndian.PutUint32(b[at:], n)
 
-	auth := make([]bt.ConnHandle, 0, len(st.authPending))
-	for h := range st.authPending {
-		auth = append(auth, h)
+	at, n = len(b), 0
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for _, k := range peers {
+		if st.peers[k].pendingIncoming {
+			b = appendPeer(b, k)
+			n++
+		}
 	}
-	sort.Slice(auth, func(i, j int) bool { return auth[i] < auth[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(auth)))
-	for _, h := range auth {
-		b = binary.LittleEndian.AppendUint16(b, uint16(h))
+	binary.LittleEndian.PutUint32(b[at:], n)
+
+	at, n = len(b), 0
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for _, h := range handles {
+		if st.handles[h].authPending {
+			b = binary.LittleEndian.AppendUint16(b, uint16(h))
+			n++
+		}
 	}
+	binary.LittleEndian.PutUint32(b[at:], n)
 
 	// Per-peer key baselines. These are live state — a future notification
 	// compares against them — so even a live snapshot keeps every entry.
-	keyPeers := make([]bt.BDADDR, 0, len(st.lastKey))
-	for p := range st.lastKey {
-		keyPeers = append(keyPeers, p)
+	at, n = len(b), 0
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for _, k := range peers {
+		if p := st.peers[k]; p.haveKey {
+			b = appendPeer(b, k)
+			b = append(b, p.lastKey[:]...)
+			n++
+		}
 	}
-	sort.Slice(keyPeers, func(i, j int) bool { return bytes.Compare(keyPeers[i][:], keyPeers[j][:]) < 0 })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(keyPeers)))
-	for _, p := range keyPeers {
-		k := st.lastKey[p]
-		b = append(b, p[:]...)
-		b = append(b, k[:]...)
-	}
+	binary.LittleEndian.PutUint32(b[at:], n)
 
-	typePeers := make([]bt.BDADDR, 0, len(st.lastKeyType))
-	for p := range st.lastKeyType {
-		typePeers = append(typePeers, p)
+	at, n = len(b), 0
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for _, k := range peers {
+		if p := st.peers[k]; p.haveKeyType {
+			b = appendPeer(b, k)
+			b = append(b, byte(p.lastKeyType))
+			n++
+		}
 	}
-	sort.Slice(typePeers, func(i, j int) bool { return bytes.Compare(typePeers[i][:], typePeers[j][:]) < 0 })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(typePeers)))
-	for _, p := range typePeers {
-		b = append(b, p[:]...)
-		b = append(b, byte(st.lastKeyType[p]))
-	}
+	binary.LittleEndian.PutUint32(b[at:], n)
 	d.snapCap = len(b)
 	return b, nil
 }
@@ -337,7 +350,8 @@ func (d *Detector) RestoreState(data []byte) error {
 			return err
 		}
 		if s != nil {
-			st.byHandle[h] = s
+			st.handles[uint32(h)] = handleSlot{session: s}
+			st.handleSessions++
 		}
 	}
 	n = r.u32()
@@ -349,28 +363,31 @@ func (d *Detector) RestoreState(data []byte) error {
 			return err
 		}
 		if s != nil {
-			st.byPeer[p] = s
+			st.peer(p).session = s
+			st.peerSessions++
 		}
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		st.pendingIncoming[r.addrAfter(i, &prevP)] = true
+		st.peer(r.addrAfter(i, &prevP)).pendingIncoming = true
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		st.authPending[r.handleAfter(i, &prevH)] = true
+		h := uint32(r.handleAfter(i, &prevH))
+		slot := st.handles[h]
+		slot.authPending = true
+		st.handles[h] = slot
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		var k bt.LinkKey
-		p := r.addrAfter(i, &prevP)
-		r.fixed(k[:])
-		st.lastKey[p] = k
+		p := st.peer(r.addrAfter(i, &prevP))
+		r.fixed(p.lastKey[:])
+		p.haveKey = true
 	}
 	n = r.u32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		p := r.addrAfter(i, &prevP)
-		st.lastKeyType[p] = bt.LinkKeyType(r.u8())
+		p := st.peer(r.addrAfter(i, &prevP))
+		p.lastKeyType, p.haveKeyType = bt.LinkKeyType(r.u8()), true
 	}
 	if r.err != nil {
 		return r.err
@@ -388,6 +405,11 @@ func (d *Detector) RestoreState(data []byte) error {
 	d.pending = nil
 	d.install(st)
 	return nil
+}
+
+// appendPeer appends the address a peers-table key packs (peerKey).
+func appendPeer(b []byte, k uint64) []byte {
+	return append(b, byte(k>>40), byte(k>>32), byte(k>>24), byte(k>>16), byte(k>>8), byte(k))
 }
 
 func appendCkpBool(b []byte, v bool) []byte {

@@ -24,6 +24,12 @@ type Event struct {
 // byte-identical findings to a batch run — detection parity is
 // structural, not tested into existence.
 //
+// Pushing allocates nothing per record or per connection: kept records
+// decode in place, the reducer's lookup state is two integer-keyed
+// tables, and sessions are carved from chunks (see sessionState). What
+// remains is one event slice per Drain burst and one chunk per 64
+// sessions.
+//
 // A Detector is not safe for concurrent use; the daemon runs one per
 // connection.
 type Detector struct {
@@ -145,5 +151,6 @@ func (d *Detector) Findings() uint64 { return d.seq }
 // A live detector has no batch report: Finish returns empty Exposures
 // and Findings, and Sessions holds, in report order, the sessions a
 // future record can still reach plus disconnected ones not yet
-// compacted away — never more than twice the larger lookup map plus 64.
+// compacted away — never more than twice the larger count of table
+// entries that reference a session, plus 64.
 func (d *Detector) Finish() *Report { return d.st.finish() }

@@ -24,7 +24,7 @@
 // the capture. NewLiveDetector is the mode for a consumer that reads
 // findings only from Drain and runs for days, as blapd does: it records
 // no exposures or findings, and keeps only the sessions a future record
-// can still reach through the handle and peer lookup maps, plus a bounded
+// can still reach through the handle and peer tables, plus a bounded
 // slack that is compacted away in amortized O(1) per session. Its state
 // is then bounded by the live set (open connections, pending accepts and
 // authentications, one key baseline per peer seen), not by the length of
@@ -198,20 +198,31 @@ type Report struct {
 // are emitted the moment the last record completing them is applied —
 // never deferred to end-of-capture — which is what lets the Detector
 // surface them while a capture is still being written.
+//
+// Its lookup state is two integer-keyed tables, so every record costs at
+// most a few fast-path map operations: handles (a connection handle's
+// session and pending authentication) and peers (an address's latest
+// session, pending inbound accept and key baselines). An entry is
+// deleted once it holds nothing.
+//
+// Sessions are carved from chunks of sessionChunk, and a session's first
+// AuthOutcomes element from chunks of outcomeChunk, so a connection
+// allocates nothing of its own. The trade-off in live mode: a chunk
+// stays reachable while any session carved from it is, so one
+// long-lived connection can pin a session chunk and an outcome chunk,
+// about 7 KiB, after its neighbours were trimmed away.
 type sessionState struct {
-	rep      *Report
-	byHandle map[bt.ConnHandle]*Session
-	byPeer   map[bt.BDADDR]*Session // latest session per peer
-	// Peers whose connection arrived inbound but have no handle yet.
-	pendingIncoming map[bt.BDADDR]bool
-	// Handles with an authentication in flight (for timeout correlation).
-	authPending map[bt.ConnHandle]bool
-	// Last link key sighted per peer (reply or notification) and last
-	// *notified* key type per peer — the change/downgrade baselines. These
-	// survive disconnects deliberately: the interesting replacement is the
-	// one that happens on a later connection.
-	lastKey     map[bt.BDADDR]bt.LinkKey
-	lastKeyType map[bt.BDADDR]bt.LinkKeyType
+	rep     *Report
+	handles map[uint32]handleSlot
+	peers   map[uint64]*peerState
+	// handleSessions and peerSessions count the entries of each table
+	// that reference a session: trim's bound is over those, not over
+	// entries that only hold a pending authentication or a key baseline.
+	handleSessions, peerSessions int
+	// sessionArena and outcomeArena are what is left of the current
+	// chunks; newSession and newOutcomes carve from their fronts.
+	sessionArena []Session
+	outcomeArena []hci.Status
 	// frame/ts describe the record currently being applied; emit stamps
 	// them onto each finding.
 	frame int
@@ -220,23 +231,104 @@ type sessionState struct {
 	// Detector's live event hook.
 	onFinding func(Finding)
 	// live keeps no batch report: emit and exposure only forward, and
-	// rep.Sessions is trimmed to the sessions the lookup maps reach.
+	// rep.Sessions is trimmed to the sessions the tables reach.
 	live bool
 	// text is the reused buffer emit renders a report finding's Detail
 	// into.
 	text []byte
 }
 
+// handleSlot is the handles table's entry for one connection handle.
+// The pending authentication belongs to the handle, not to the session:
+// a handle reused without a disconnect keeps it, so a timeout on the new
+// connection still reads as a stalled authentication
+// (TestHandleReuseWithoutDisconnect).
+type handleSlot struct {
+	session     *Session
+	authPending bool // HCI_Authentication_Requested not yet completed
+}
+
+// peerState is the peers table's entry for one address. The key
+// baselines survive disconnects deliberately: the interesting
+// replacement is the one that happens on a later connection.
+type peerState struct {
+	session *Session // latest session
+	// pendingIncoming: the connection arrived inbound but has no handle
+	// yet.
+	pendingIncoming bool
+	// lastKey is the last link key sighted (reply or notification),
+	// lastKeyType the last *notified* key type — the change and downgrade
+	// baselines.
+	lastKey              bt.LinkKey
+	lastKeyType          bt.LinkKeyType
+	haveKey, haveKeyType bool
+}
+
+func (p *peerState) empty() bool {
+	return p.session == nil && !p.pendingIncoming && !p.haveKey && !p.haveKeyType
+}
+
+// peerKey packs an address big-endian, a[0] most significant, so the
+// numeric order of keys is the bytes.Compare order of addresses the
+// checkpoint's sorted sections are written in.
+func peerKey(a bt.BDADDR) uint64 {
+	return uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 | uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
+}
+
+// Arena chunk sizes: 64 sessions (~6.5 KiB) and 512 one-byte outcomes.
+const (
+	sessionChunk = 64
+	outcomeChunk = 512
+)
+
 func newSessionState() *sessionState {
 	return &sessionState{
-		rep:             &Report{},
-		byHandle:        make(map[bt.ConnHandle]*Session),
-		byPeer:          make(map[bt.BDADDR]*Session),
-		pendingIncoming: make(map[bt.BDADDR]bool),
-		authPending:     make(map[bt.ConnHandle]bool),
-		lastKey:         make(map[bt.BDADDR]bt.LinkKey),
-		lastKeyType:     make(map[bt.BDADDR]bt.LinkKeyType),
+		rep:     &Report{},
+		handles: make(map[uint32]handleSlot),
+		peers:   make(map[uint64]*peerState),
 	}
+}
+
+// newSession carves a zero Session from the current chunk.
+func (st *sessionState) newSession() *Session {
+	if len(st.sessionArena) == 0 {
+		st.sessionArena = make([]Session, sessionChunk)
+	}
+	s := &st.sessionArena[0]
+	st.sessionArena = st.sessionArena[1:]
+	return s
+}
+
+// newOutcomes carves an empty one-element-capacity slice from the
+// current outcome chunk: a session's first outcome lands in it, and a
+// second append reallocates rather than writing into a neighbour's.
+func (st *sessionState) newOutcomes() []hci.Status {
+	if len(st.outcomeArena) == 0 {
+		st.outcomeArena = make([]hci.Status, outcomeChunk)
+	}
+	o := st.outcomeArena[:0:1]
+	st.outcomeArena = st.outcomeArena[1:]
+	return o
+}
+
+// peer returns the peers table's entry for a, creating it.
+func (st *sessionState) peer(a bt.BDADDR) *peerState {
+	k := peerKey(a)
+	p := st.peers[k]
+	if p == nil {
+		p = &peerState{}
+		st.peers[k] = p
+	}
+	return p
+}
+
+// putHandle stores a handle's slot, or deletes it once it holds nothing.
+func (st *sessionState) putHandle(k uint32, slot handleSlot) {
+	if slot.session == nil && !slot.authPending {
+		delete(st.handles, k)
+		return
+	}
+	st.handles[k] = slot
 }
 
 // emit stamps one structured finding with the frame that completed it
@@ -268,30 +360,34 @@ func (st *sessionState) exposure(source string, peer bt.BDADDR, key bt.LinkKey) 
 }
 
 // liveSessions returns the sessions a future record can still reach:
-// the reducer finds sessions only through the handle and peer maps. A
-// filter over it compares pointers and never touches the sessions
-// themselves, which matters when the list is a full report's.
+// the reducer finds sessions only through the two tables. A filter over
+// it compares pointers and never touches the sessions themselves, which
+// matters when the list is a full report's.
 func (st *sessionState) liveSessions() map[*Session]bool {
-	keep := make(map[*Session]bool, len(st.byHandle)+len(st.byPeer))
-	for _, s := range st.byHandle {
-		keep[s] = true
+	keep := make(map[*Session]bool, st.handleSessions+st.peerSessions)
+	for _, slot := range st.handles {
+		if slot.session != nil {
+			keep[slot.session] = true
+		}
 	}
-	for _, s := range st.byPeer {
-		keep[s] = true
+	for _, p := range st.peers {
+		if p.session != nil {
+			keep[p.session] = true
+		}
 	}
 	return keep
 }
 
 // trim bounds a live reducer's session list by its live set. Once the
-// list passes twice the larger lookup map plus 64, it is compacted in
-// place, in report order, to the sessions still reachable. The slack
-// keeps this amortized O(1) per session: when open sessions sit in both
-// maps, as they do unless a handle or peer is reused without a
-// disconnect, the list must grow by more than its compacted length
-// before the next compaction.
+// list passes twice the larger count of table entries referencing a
+// session, plus 64, it is compacted in place, in report order, to the
+// sessions still reachable. The slack keeps this amortized O(1) per
+// session: when open sessions sit in both tables, as they do unless a
+// handle or peer is reused without a disconnect, the list must grow by
+// more than its compacted length before the next compaction.
 func (st *sessionState) trim() {
 	ss := st.rep.Sessions
-	if !st.live || len(ss) <= 2*max(len(st.byHandle), len(st.byPeer))+64 {
+	if !st.live || len(ss) <= 2*max(st.handleSessions, st.peerSessions)+64 {
 		return
 	}
 	keep := st.liveSessions()
@@ -325,21 +421,23 @@ func (st *sessionState) checkPageBlocking(s *Session) {
 // record's 1-based capture position, ts its timestamp.
 func (st *sessionState) apply(frame int, ts time.Time, m *hciMsg) {
 	st.frame, st.ts = frame, ts
-	rep := st.rep
 	switch m.kind {
 	case msgAcceptConnection:
-		st.pendingIncoming[m.addr] = true
+		st.peer(m.addr).pendingIncoming = true
 	case msgAuthRequested:
-		if s := st.byHandle[m.handle]; s != nil {
-			s.LocalPairingInitiation = true
-			st.authPending[m.handle] = true
-			st.checkPageBlocking(s)
+		k := uint32(m.handle)
+		if slot := st.handles[k]; slot.session != nil {
+			slot.session.LocalPairingInitiation = true
+			slot.authPending = true
+			st.handles[k] = slot
+			st.checkPageBlocking(slot.session)
 		}
 	case msgLinkKeyReply:
 		st.exposure(hci.OpLinkKeyRequestReply.String(), m.addr, m.key)
-		st.lastKey[m.addr] = m.key
-		if s := st.byPeer[m.addr]; s != nil {
-			s.suppliedStoredKey = true
+		p := st.peer(m.addr)
+		p.lastKey, p.haveKey = m.key, true
+		if p.session != nil {
+			p.session.suppliedStoredKey = true
 		}
 
 	case msgConnectionComplete:
@@ -347,28 +445,47 @@ func (st *sessionState) apply(frame int, ts time.Time, m *hciMsg) {
 			// A failed completion still consumes the pending accept:
 			// leaving it would misflag a later outgoing session to the
 			// same peer as incoming (a false page-blocking signature).
-			delete(st.pendingIncoming, m.addr)
+			k := peerKey(m.addr)
+			if p := st.peers[k]; p != nil && p.pendingIncoming {
+				p.pendingIncoming = false
+				if p.empty() {
+					delete(st.peers, k)
+				}
+			}
 			return
 		}
-		s := &Session{
+		p := st.peer(m.addr)
+		s := st.newSession()
+		*s = Session{
 			Handle:      m.handle,
 			Peer:        m.addr,
-			Incoming:    st.pendingIncoming[m.addr],
+			Incoming:    p.pendingIncoming,
 			ConnectedAt: ts,
 		}
-		delete(st.pendingIncoming, m.addr)
-		st.byHandle[m.handle] = s
-		st.byPeer[m.addr] = s
-		rep.Sessions = append(rep.Sessions, s)
+		p.pendingIncoming = false
+		if p.session == nil {
+			st.peerSessions++
+		}
+		p.session = s
+		k := uint32(m.handle)
+		slot := st.handles[k]
+		if slot.session == nil {
+			st.handleSessions++
+		}
+		slot.session = s
+		st.handles[k] = slot
+		st.rep.Sessions = append(st.rep.Sessions, s)
 		st.trim()
 	case msgIOCapResponse:
-		if s := st.byPeer[m.addr]; s != nil {
+		if p := st.peers[peerKey(m.addr)]; p != nil && p.session != nil {
+			s := p.session
 			s.PeerIOCap = m.ioCap
 			s.HavePeerIOCap = true
 			st.checkPageBlocking(s)
 		}
 	case msgPairingComplete:
-		if s := st.byPeer[m.addr]; s != nil {
+		if p := st.peers[peerKey(m.addr)]; p != nil && p.session != nil {
+			s := p.session
 			s.PairingCompleted = m.status == hci.StatusSuccess
 			s.PairingStatus = m.status
 			if s.PairingCompleted && s.suppliedStoredKey && !s.flaggedSilentRepair {
@@ -377,42 +494,68 @@ func (st *sessionState) apply(frame int, ts time.Time, m *hciMsg) {
 			}
 		}
 	case msgAuthComplete:
-		if s := st.byHandle[m.handle]; s != nil {
+		k := uint32(m.handle)
+		if slot := st.handles[k]; slot.session != nil {
+			s := slot.session
+			if cap(s.AuthOutcomes) == 0 {
+				s.AuthOutcomes = st.newOutcomes()
+			}
 			s.AuthOutcomes = append(s.AuthOutcomes, m.status)
-			delete(st.authPending, m.handle)
+			if slot.authPending {
+				slot.authPending = false
+				st.handles[k] = slot
+			}
 		}
 	case msgLinkKeyNotification:
 		st.exposure(hci.EvLinkKeyNotification.String(), m.addr, m.key)
-		if prev, ok := st.lastKey[m.addr]; ok && prev != m.key {
-			st.emit(Finding{Kind: FindingSilentKeyChange, Peer: m.addr, Session: st.byPeer[m.addr]})
+		p := st.peer(m.addr)
+		if p.haveKey && p.lastKey != m.key {
+			st.emit(Finding{Kind: FindingSilentKeyChange, Peer: m.addr, Session: p.session})
 		}
-		if prevT, ok := st.lastKeyType[m.addr]; ok &&
-			isAuthenticatedKeyType(prevT) && !isAuthenticatedKeyType(m.keyType) {
+		if p.haveKeyType && isAuthenticatedKeyType(p.lastKeyType) && !isAuthenticatedKeyType(m.keyType) {
 			st.emit(Finding{
-				Kind: FindingKeyTypeDowngrade, Peer: m.addr, Session: st.byPeer[m.addr],
-				PrevKeyType: prevT, KeyType: m.keyType,
+				Kind: FindingKeyTypeDowngrade, Peer: m.addr, Session: p.session,
+				PrevKeyType: p.lastKeyType, KeyType: m.keyType,
 			})
 		}
-		st.lastKey[m.addr] = m.key
-		st.lastKeyType[m.addr] = m.keyType
+		p.lastKey, p.haveKey = m.key, true
+		p.lastKeyType, p.haveKeyType = m.keyType, true
 	case msgDisconnection:
-		if s := st.byHandle[m.handle]; s != nil {
-			s.Disconnected = true
-			s.DisconnectReason = m.reason
-			s.EndsAt = ts
-			delete(st.byHandle, m.handle)
-			if st.byPeer[s.Peer] == s {
-				delete(st.byPeer, s.Peer)
-			}
-			if st.authPending[s.Handle] && isTimeout(m.reason) {
-				st.emit(Finding{
-					Kind: FindingStalledAuthTimeout, Peer: s.Peer, Session: s,
-					Handle: s.Handle, Reason: m.reason,
-				})
-			}
-			delete(st.authPending, s.Handle)
-			st.trim()
+		k := uint32(m.handle)
+		slot := st.handles[k]
+		s := slot.session
+		if s == nil {
+			return
 		}
+		s.Disconnected = true
+		s.DisconnectReason = m.reason
+		s.EndsAt = ts
+		slot.session = nil
+		st.handleSessions--
+		pk := peerKey(s.Peer)
+		if p := st.peers[pk]; p != nil && p.session == s {
+			p.session = nil
+			st.peerSessions--
+			if p.empty() {
+				delete(st.peers, pk)
+			}
+		}
+		if sk := uint32(s.Handle); sk != k {
+			// Only a restored checkpoint can file a session under another
+			// handle; the authentication that counts is the one pending on
+			// the session's own handle.
+			st.putHandle(k, slot)
+			k, slot = sk, st.handles[sk]
+		}
+		if slot.authPending && isTimeout(m.reason) {
+			st.emit(Finding{
+				Kind: FindingStalledAuthTimeout, Peer: s.Peer, Session: s,
+				Handle: s.Handle, Reason: m.reason,
+			})
+		}
+		slot.authPending = false
+		st.putHandle(k, slot)
+		st.trim()
 	}
 }
 

@@ -131,6 +131,56 @@ func TestFailedConnectionCompleteDoesNotLeakIncoming(t *testing.T) {
 	}
 }
 
+// TestHandleReuseWithoutDisconnect pins what an authentication in flight
+// on a handle means when the controller reuses that handle for another
+// peer without a Disconnection_Complete in between: the pending
+// authentication stays with the handle, so a timeout disconnect of the
+// new connection raises one stalled-authentication finding for the new
+// peer and session, and an Authentication_Complete on the reused handle
+// settles it.
+func TestHandleReuseWithoutDisconnect(t *testing.T) {
+	peerA := bt.MustBDADDR("00:1a:7d:da:71:0a")
+	peerB := bt.MustBDADDR("f0:0d:ca:fe:00:ff")
+	const h = 0x0042
+	run := func(settle bool) *Report {
+		pkts := []hci.Packet{
+			hci.EncodeEvent(&hci.ConnectionComplete{Status: hci.StatusSuccess, Handle: h, Addr: peerA}),
+			hci.EncodeCommand(&hci.AuthenticationRequested{Handle: h}),
+			hci.EncodeEvent(&hci.ConnectionComplete{Status: hci.StatusSuccess, Handle: h, Addr: peerB}),
+		}
+		if settle {
+			pkts = append(pkts, hci.EncodeEvent(&hci.AuthenticationComplete{Status: hci.StatusSuccess, Handle: h}))
+		}
+		pkts = append(pkts, hci.EncodeEvent(&hci.DisconnectionComplete{Status: hci.StatusSuccess, Handle: h, Reason: hci.StatusConnectionTimeout}))
+		full, live := NewDetector(), NewLiveDetector()
+		for _, p := range pkts {
+			full.Push(snoop.Record{Data: p.Wire()})
+			live.Push(snoop.Record{Data: p.Wire()})
+		}
+		if want, got := full.Drain(), live.Drain(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("settle=%v: live events diverge:\nfull: %+v\nlive: %+v", settle, want, got)
+		}
+		return full.Finish()
+	}
+
+	rep := run(false)
+	if len(rep.Sessions) != 2 || rep.Sessions[0].Peer != peerA || rep.Sessions[1].Peer != peerB {
+		t.Fatalf("want sessions for peer A then peer B:\n%s", rep.Render())
+	}
+	if len(rep.Findings) != 1 {
+		t.Fatalf("%d findings, want one stalled authentication:\n%s", len(rep.Findings), rep.Render())
+	}
+	f := rep.Findings[0]
+	if f.Kind != FindingStalledAuthTimeout || f.Peer != peerB || f.Session != rep.Sessions[1] {
+		t.Fatalf("finding %s for peer %s on session %p, want %s for peer B on session B (%p)",
+			f.Kind, f.Peer, f.Session, FindingStalledAuthTimeout, rep.Sessions[1])
+	}
+
+	if rep := run(true); len(rep.Findings) != 0 {
+		t.Fatalf("an Authentication_Complete on the reused handle left a finding:\n%s", rep.Render())
+	}
+}
+
 // TestAnalyzeStreamBoundedMemory checks AnalyzeBatch never buffers the
 // whole stream: total allocation during a pass over a large capture
 // must stay well below the capture size.

@@ -37,6 +37,35 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// ObserveN(d, n) must leave the raw state exactly as n Observe(d) calls
+// do, on an empty histogram and on one that already holds data; n = 0
+// and a nil receiver must change nothing.
+func TestObserveNMatchesObserve(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		prior := randDurations(r, r.Intn(20))
+		d := time.Duration(r.Int63n(int64(time.Second))) - time.Millisecond
+		n := uint64(r.Intn(40))
+		one, bulk := &Histogram{}, &Histogram{}
+		observeSet(one, prior)
+		observeSet(bulk, prior)
+		for i := uint64(0); i < n; i++ {
+			one.Observe(d)
+		}
+		bulk.ObserveN(d, n)
+		if want, got := one.State(), bulk.State(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: ObserveN(%v, %d) drift:\nObserve  %+v\nObserveN %+v", trial, d, n, want, got)
+		}
+	}
+	var nilH *Histogram
+	nilH.ObserveN(time.Millisecond, 3)
+	h := &Histogram{}
+	h.ObserveN(time.Millisecond, 0)
+	if st := h.State(); !reflect.DeepEqual(st, (&Histogram{}).State()) {
+		t.Fatalf("ObserveN with n = 0 recorded %+v", st)
+	}
+}
+
 // JSON round-trip: persistence-shaped states survive encode/decode.
 func TestStateJSONRoundTrip(t *testing.T) {
 	h := &Histogram{}

@@ -3,6 +3,7 @@ package sentinel
 import (
 	"errors"
 	"io"
+	"math/bits"
 	"os"
 	"strconv"
 	"time"
@@ -294,6 +295,23 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 	return
 }()
 
+// jsonWordCare is jsonSafe for eight bytes loaded little-endian: zero
+// when every byte passes verbatim, otherwise a mask whose lowest set bit
+// is the high bit of the first byte that does not (one at or above 0x80,
+// below 0x20, or one of " \ < > &). Set bits above it may be spurious,
+// because a subtraction borrows only out of a matching byte; the caller
+// reads only the lowest.
+func jsonWordCare(w uint64) uint64 {
+	return (w | (w - 0x20*wordLSB) | hasZero(w^'"'*wordLSB) | hasZero(w^'\\'*wordLSB) |
+		hasZero(w^'<'*wordLSB) | hasZero(w^'>'*wordLSB) | hasZero(w^'&'*wordLSB)) & wordMSB
+}
+
+// wordLSB and wordMSB repeat a byte's lowest and highest bit over a
+// word; hasZero(v) & wordMSB flags v's zero bytes, exact up to the first.
+const wordLSB, wordMSB = 0x0101010101010101, 0x8080808080808080
+
+func hasZero(v uint64) uint64 { return (v - wordLSB) &^ v }
+
 // appendJSONString appends s, a string or the bytes of one, as a JSON
 // string literal using exactly encoding/json's escaping rules
 // (HTML-escaping on, as json.Marshal defaults): quote, backslash, and
@@ -301,11 +319,23 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 // \u00xx otherwise), '<', '>', and '&' become \u003c, \u003e and
 // \u0026, invalid UTF-8 bytes become \ufffd, and U+2028/U+2029 are
 // escaped for JS embedding. Everything else is copied verbatim in bulk
-// runs between escapes.
+// runs between escapes. The runs are scanned eight bytes at a time
+// (jsonWordCare); the byte loop takes over at the first byte that may
+// need escaping.
 func appendJSONString[T string | []byte](b []byte, s T) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		if i+8 <= len(s) {
+			w := s[i : i+8]
+			m := jsonWordCare(uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+				uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56)
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) >> 3
+		}
 		if c := s[i]; c < utf8.RuneSelf {
 			if jsonSafe[c] {
 				i++

@@ -172,3 +172,31 @@ func TestAppendFindingAllocs(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAppendJSONString pins the escaper, in both its string and []byte
+// instantiations, to json.Marshal of the same string: every byte value,
+// every position of an escape relative to the eight-byte verbatim scan,
+// invalid and truncated UTF-8, and U+2028/U+2029.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range []string{
+		"", "a", "abcdefgh", "abcdefghi", "plaintext-link-key",
+		"authentication on handle 0x000b never completed; link dropped with Connection Timeout — the trace a link key extraction stall leaves behind",
+		"1234567\"", "12345678<", "\x00\x1f\x7f\x80\xff", "<script>&amp;</script>",
+		"tab\there\nnewline\\back\"quote", "\u2028\u2029 line seps", "\xe2\x80", "\xed\xa0\x80 surrogate",
+		"héllo wörld ☃ 𝄞", "aaaaaaa\xe2\x80\xa8bbbbbbbb",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, err := json.Marshal(string(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString([]byte{'x'}, string(data)); !bytes.Equal(got[1:], want) {
+			t.Fatalf("string %q:\ngot  %s\nwant %s", data, got[1:], want)
+		}
+		if got := appendJSONString([]byte{'x'}, data); !bytes.Equal(got[1:], want) {
+			t.Fatalf("[]byte %q:\ngot  %s\nwant %s", data, got[1:], want)
+		}
+	})
+}

@@ -922,10 +922,8 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 				// Detection latency: the completing batch was scanned at
 				// it.at; its findings are on the event queue at tEnd.
 				d := tEnd.Sub(it.at)
-				for range evs {
-					sm.detect.Observe(d)
-					st.detect.Observe(d)
-				}
+				sm.detect.ObserveN(d, uint64(len(evs)))
+				st.detect.ObserveN(d, uint64(len(evs)))
 				sm.ingest.Observe(tEnd.Sub(it.at))
 				st.ingest.Observe(tEnd.Sub(it.at))
 			} else {

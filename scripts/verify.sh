@@ -41,11 +41,15 @@ go test -run xxx -bench BenchmarkIngestDense -benchtime 1x ./internal/sentinel
 go test -run xxx -bench BenchmarkLiveReduceDense -benchtime 1x ./internal/forensics
 
 # Untrusted-input fuzz smoke: a few seconds each on the session
-# handshake + chunk reader, on the /query parameter parser, and on the
-# detector's in-place record decoder against the typed hci parsers.
+# handshake + chunk reader, on the /query parameter parser, on the
+# detector's in-place record decoder against the typed hci parsers, on
+# the checkpoint codec (any accepted input must be canonical), and on
+# the JSON string escaper against encoding/json.
 go test -run '^$' -fuzz '^FuzzSessionHandshake$' -fuzztime 5s ./internal/sentinel
 go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 5s ./internal/sentinel
 go test -run '^$' -fuzz '^FuzzDecodeKept$' -fuzztime 5s ./internal/forensics
+go test -run '^$' -fuzz '^FuzzRestoreState$' -fuzztime 5s ./internal/forensics
+go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 5s ./internal/sentinel
 
 # Live detection daemon: self-contained end-to-end smoke (ephemeral
 # sockets, live JSONL events verified against the batch analyzer on
