@@ -9,9 +9,9 @@
 //
 // The -workers flag sets the campaign engine's worker count for every
 // sweep (0 = GOMAXPROCS). Results are bit-identical at any worker count;
-// see internal/campaign. The committed BENCH_pr*.json files are frozen
-// history; current performance numbers come from bash bench/run.sh, and
-// the campaign acceptance rules are go test ./internal/eval.
+// see internal/campaign. Performance numbers come from bash
+// bench/run.sh, and the campaign acceptance rules are go test
+// ./internal/eval.
 package main
 
 import (

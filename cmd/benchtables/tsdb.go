@@ -15,13 +15,13 @@ import (
 // tsdbRecords is the payload count for the deterministic store smoke:
 // one synthetic finding per millisecond across a ~17-minute span, so
 // retention and the time-indexed segment directory have real work to
-// do. The store figures committed in BENCH_pr8.json are frozen history;
-// current store numbers come from bash bench/run.sh (the tsdb.* rows).
+// do. Store performance numbers come from bash bench/run.sh (the tsdb.*
+// rows).
 const tsdbRecords = 1_000_000
 
 // tsdbPayload appends the i-th synthetic finding line: a small JSONL
-// object shaped like the sentinel's persisted findings, with the frame
-// timestamp also embedded.
+// object shaped like a finding event, with the frame timestamp also
+// embedded.
 func tsdbPayload(buf []byte, ts int64, i int) []byte {
 	return fmt.Appendf(buf, `{"ts":%d,"seq":%d,"stream":%d,"kind":"probe","detail":"synthetic finding %d"}`,
 		ts, i+1, i%16+1, i)

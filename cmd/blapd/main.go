@@ -154,7 +154,7 @@ func main() {
 				Dir:       *storeDir,
 				Retention: *retention,
 				// Metrics snapshots decay to 10-minute resolution once an
-				// hour old; event series persist verbatim until retention.
+				// hour old; event series are kept whole until retention.
 				Downsample: map[string]tsdb.Downsampler{
 					sentinel.SeriesHist: sentinel.HistDownsample(time.Hour, 10*time.Minute),
 				},

@@ -137,8 +137,10 @@ func ClassifyStreamError(err error) string {
 // emission stamp: ts is the wall-clock instant in unix nanoseconds, 0
 // when timestamps are off. The detector goroutine hands it to the shard
 // writer and the persist goroutine as is and never touches the slice
-// again, so both read it without copying; each renders the findings'
-// JSONL lines with appendFinding.
+// again, so both read it without copying. The writer renders the
+// findings' JSONL lines with appendFinding; the persist goroutine
+// stores them as binary records, which /query renders with the same
+// appendFinding.
 type findingBurst struct {
 	stream uint64
 	ts     int64

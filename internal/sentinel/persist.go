@@ -14,11 +14,12 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Store series classes. Finding and stream-end events persist as their
-// exact JSONL bytes keyed by stream id; the histogram series holds
-// interval-delta metrics snapshots keyed 0 (daemon-global); the
-// checkpoint series holds detector checkpoints keyed by a hash of the
-// session id (sessionKey).
+// Store series classes. Findings persist as fixed binary records (see
+// record.go) keyed by stream id and rendered to their JSONL bytes when
+// /query reads them; stream-end events persist as their exact JSONL
+// bytes, keyed the same way; the histogram series holds interval-delta
+// metrics snapshots keyed 0 (daemon-global); the checkpoint series holds
+// detector checkpoints keyed by a hash of the session id (sessionKey).
 const (
 	SeriesFindings = "findings"
 	SeriesEnds     = "ends"
@@ -91,7 +92,7 @@ func decodeCkptFrame(data []byte, d *ckptDoc) error {
 
 // persistItem is one unit on a shard's persist queue: a drained finding
 // burst (burst.evs non-nil), a detector checkpoint document (ckpt
-// non-nil), or one other stamped event.
+// non-nil), or one stamped stream-end event.
 type persistItem struct {
 	ev    Event
 	burst findingBurst
@@ -99,9 +100,8 @@ type persistItem struct {
 	ckpt  *ckptDoc
 }
 
-// events is how many finding events of the persist queue's bound the
-// item holds: a burst its findings, another event one, a checkpoint
-// none.
+// events is how many events of the persist queue's bound the item
+// holds: a burst its findings, a stream-end one, a checkpoint none.
 func (it *persistItem) events() int {
 	switch {
 	case it.ckpt != nil:
@@ -182,14 +182,14 @@ func (s *Server) queueCheckpoint(st *streamState, det *forensics.Detector, off i
 }
 
 // persistLoop is a shard's persistence consumer: it drains the bounded
-// queue, append-encodes each event — or each finding of a burst —
-// into a reused buffer (the same encoders the JSONL writer uses, so the
-// durable bytes equal the emitted line), and appends to the store.
-// Store errors count as drops — the queue keeps draining, so one bad
-// write never wedges the shard.
+// queue and appends to the store — each finding burst as records
+// encoded into one reused buffer and written by one AppendBatch, each
+// stream-end as its JSONL line. It formats no finding text; /query
+// does, when it reads. Store errors count as drops — the queue keeps
+// draining, so one bad write never wedges the shard.
 func (sh *shard) persistLoop() {
 	defer close(sh.pdone)
-	var buf, ts []byte
+	var buf []byte
 	for it := range sh.persist {
 		sh.persistQueued.Add(-int64(it.events()))
 		if hook := sh.srv.cfg.beforePersist; hook != nil {
@@ -199,31 +199,38 @@ func (sh *shard) persistLoop() {
 		case it.ckpt != nil:
 			sh.persistCkpt(it)
 		case it.burst.evs != nil:
-			fb := &it.burst
-			ts = appendStamp(ts[:0], fb.ts)
-			for i := range fb.evs {
-				buf = appendFinding(buf[:0], fb.stream, ts, &fb.evs[i])
-				sh.persistEvent(SeriesFindings, fb.ts, fb.stream, buf)
-			}
+			buf = sh.persistBurst(buf[:0], &it.burst)
 		default:
-			series := SeriesFindings
-			if it.ev.Type == EventStreamEnd {
-				series = SeriesEnds
-			}
 			buf = it.ev.appendJSON(buf[:0])
-			sh.persistEvent(series, it.ts, it.ev.Stream, buf)
+			if err := sh.srv.cfg.Store.Append(SeriesEnds, it.ts, it.ev.Stream, buf); err != nil {
+				sh.m.persistDropped.Add(1)
+			} else {
+				sh.m.persistAppended.Add(1)
+			}
 		}
 	}
 }
 
-// persistEvent appends one rendered event line to the store and counts
-// the outcome.
-func (sh *shard) persistEvent(series string, ts int64, stream uint64, line []byte) {
-	if err := sh.srv.cfg.Store.Append(series, ts, stream, line); err != nil {
-		sh.m.persistDropped.Add(1)
-		return
+// persistBurst encodes a burst's findings as records into buf and
+// appends them as one batch, one frame per finding, stamped with the
+// burst's emission stamp and keyed by its stream. Every finding counts
+// once: appended if its frame was written, dropped if it has no record
+// form or the store failed before its frame. It returns buf for reuse.
+func (sh *shard) persistBurst(buf []byte, fb *findingBurst) []byte {
+	for i := range fb.evs {
+		var ok bool
+		if buf, ok = appendFindingRecord(buf, &fb.evs[i]); !ok {
+			sh.m.persistDropped.Add(1)
+		}
 	}
-	sh.m.persistAppended.Add(1)
+	if len(buf) == 0 {
+		return buf
+	}
+	recs := len(buf) / findingRecordSize
+	n, _ := sh.srv.cfg.Store.AppendBatch(SeriesFindings, fb.ts, fb.stream, buf, findingRecordSize)
+	sh.m.persistAppended.Add(uint64(n))
+	sh.m.persistDropped.Add(uint64(recs - n))
+	return buf
 }
 
 // persistCkpt makes one checkpoint durable and then announces it.
@@ -378,8 +385,8 @@ func HistDownsample(after, window time.Duration) tsdb.Downsampler {
 }
 
 // QueryEvent is one persisted event row in a /query response: the
-// frame's wall timestamp and stream key, plus the stored JSONL object
-// verbatim (it is the same bytes the live stream emitted).
+// frame's wall timestamp and stream key, plus the event's JSONL object,
+// the same bytes the live stream emitted (renderStored).
 type QueryEvent struct {
 	TS     string          `json:"ts"`
 	Stream uint64          `json:"stream"`
@@ -469,15 +476,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res := QueryResult{Series: series}
 	switch series {
 	case SeriesFindings, SeriesEnds:
+		// Rows are rendered into one growing buffer and slice it; a
+		// regrowth leaves the earlier rows on the old array, still valid.
+		var rows []byte
 		qerr := s.cfg.Store.Query(series, since, until, key, func(fr tsdb.Frame) error {
 			if len(res.Results) >= limit {
 				res.Truncated = true
 				return errQueryLimit
 			}
+			start := len(rows)
+			var err error
+			if rows, err = renderStored(rows, fr); err != nil {
+				return err
+			}
 			res.Results = append(res.Results, QueryEvent{
 				TS:     time.Unix(0, fr.TS).UTC().Format(time.RFC3339Nano),
 				Stream: fr.Key,
-				Event:  json.RawMessage(append([]byte(nil), fr.Data...)),
+				Event:  json.RawMessage(rows[start:len(rows):len(rows)]),
 			})
 			return nil
 		})

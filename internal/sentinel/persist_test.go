@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bt"
+	"repro/internal/faults"
+	"repro/internal/forensics"
 	"repro/internal/tsdb"
 )
 
@@ -51,8 +54,9 @@ func queryAll(t *testing.T, store *tsdb.Store, series string) []tsdb.Frame {
 }
 
 // TestPersistedEventsMatchLiveJSONL is the durability ground-truth
-// check: every finding and stream-end line the daemon emits must be in
-// the store byte-for-byte (same encoder, same stamped event), keyed by
+// check: every finding and stream-end line the daemon emits must come
+// back from the store byte-for-byte as renderStored renders it (same
+// encoder, same stamped event), keyed by
 // its stream id, with a frame timestamp that matches the line's ts
 // field. It runs on a sparse capture and on a dense one, a finding
 // every ~10 records, whose bursts cross the queues in many chunks.
@@ -89,14 +93,15 @@ func checkPersistedMatchesLive(t *testing.T, capture []byte) {
 		t.Fatalf("persisted %d ends, emitted %d", len(gotEnds), len(wantEnds))
 	}
 	for i, fr := range gotFindings {
-		if !bytes.Equal(fr.Data, wantFindings[i]) {
-			t.Fatalf("finding %d: persisted bytes diverge from JSONL:\nstore: %s\nlive:  %s", i, fr.Data, wantFindings[i])
+		line, err := renderStored(nil, fr)
+		if err != nil || !bytes.Equal(line, wantFindings[i]) {
+			t.Fatalf("finding %d: persisted bytes diverge from JSONL (%v):\nstore: %s\nlive:  %s", i, err, line, wantFindings[i])
 		}
 		if fr.Key != sum.ID {
 			t.Fatalf("finding %d keyed by %d, want stream %d", i, fr.Key, sum.ID)
 		}
 		var ev Event
-		if err := json.Unmarshal(fr.Data, &ev); err != nil {
+		if err := json.Unmarshal(line, &ev); err != nil {
 			t.Fatal(err)
 		}
 		stamped, err := time.Parse(time.RFC3339Nano, ev.TS)
@@ -368,11 +373,26 @@ func TestParseQueryTimeOverflow(t *testing.T) {
 	}
 }
 
+// liveFindings returns n page-blocking findings numbered from seq first,
+// in the form the live detector emits them: Detail empty and the
+// finding's frame equal to the event's.
+func liveFindings(n, first int) []forensics.Event {
+	evs := make([]forensics.Event, n)
+	for i := range evs {
+		seq := first + i
+		evs[i] = forensics.Event{
+			Seq: uint64(seq), Frame: 10 * seq, Time: time.Unix(1_700_000_000, int64(seq)),
+			Finding: forensics.Finding{Kind: forensics.FindingPageBlocking, Frame: 10 * seq, Peer: bt.BDADDR{0xa, 0, 0, 0, 0, byte(seq)}},
+		}
+	}
+	return evs
+}
+
 // TestPersistOverflowDropsCounted wedges the persist path (the hook
-// blocks the persist goroutine mid-item) and floods events: the bounded
-// queue must fill, overflow must be counted as drops — and the event
-// path itself must stay unblocked throughout, which this test proves by
-// finishing.
+// blocks the persist goroutine mid-item) and floods one-finding bursts:
+// the bounded queue must fill, overflow must be counted as drops — and
+// the event path itself must stay unblocked throughout, which this test
+// proves by finishing.
 func TestPersistOverflowDropsCounted(t *testing.T) {
 	store := openTestStore(t)
 	release := make(chan struct{})
@@ -387,18 +407,19 @@ func TestPersistOverflowDropsCounted(t *testing.T) {
 	}
 	cfg.beforePersist = func(int) { entered <- struct{}{}; <-release }
 	s := New(cfg)
+	st := &streamState{id: 7, sh: s.shards[0]}
 
 	const events = 32
-	// First event: wait until the persist goroutine is wedged inside the
+	// First burst: wait until the persist goroutine is wedged inside the
 	// hook holding it, so the queue slot is provably free again.
-	s.emit(nil, Event{Type: EventFinding, Stream: 7, Seq: 1, Frame: 1, Kind: "k"})
+	s.emitFindings(st, liveFindings(1, 1))
 	<-entered
-	// Second event occupies the single queue slot; the rest must drop.
+	// Second burst occupies the single queue slot; the rest must drop.
 	for i := 1; i < events; i++ {
-		s.emit(nil, Event{Type: EventFinding, Stream: 7, Seq: uint64(i + 1), Frame: i + 1, Kind: "k"})
+		s.emitFindings(st, liveFindings(1, i+1))
 	}
 	// One item is wedged in the hook, one sits in the queue; the rest
-	// must have dropped without blocking emit (we got here).
+	// must have dropped without blocking emitFindings (we got here).
 	snap := s.Snapshot()
 	if want := uint64(events - 2); snap.Persist.Dropped != want {
 		t.Fatalf("persist.dropped %d, want %d", snap.Persist.Dropped, want)
@@ -414,10 +435,10 @@ func TestPersistOverflowDropsCounted(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsPersistQueue: events sitting in the persist queue
-// at Shutdown must reach the store before Shutdown returns (emitters
-// are gone by the time the queues close, so the drain is complete, not
-// racy).
+// TestShutdownDrainsPersistQueue: finding bursts sitting in the persist
+// queue at Shutdown must reach the store before Shutdown returns
+// (emitters are gone by the time the queues close, so the drain is
+// complete, not racy).
 func TestShutdownDrainsPersistQueue(t *testing.T) {
 	store := openTestStore(t)
 	slow := make(chan struct{}, 1)
@@ -431,10 +452,11 @@ func TestShutdownDrainsPersistQueue(t *testing.T) {
 		}
 	}
 	s := New(cfg)
+	st := &streamState{id: 3, sh: s.shards[0]}
 	slow <- struct{}{}
 	const events = 16
 	for i := 0; i < events; i++ {
-		s.emit(nil, Event{Type: EventFinding, Stream: 3, Seq: uint64(i + 1), Frame: i + 1, Kind: "k"})
+		s.emitFindings(st, liveFindings(1, i+1))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -443,5 +465,54 @@ func TestShutdownDrainsPersistQueue(t *testing.T) {
 	}
 	if got := len(queryAll(t, store, SeriesFindings)); got != events {
 		t.Fatalf("store holds %d findings after shutdown, want %d", got, events)
+	}
+}
+
+// TestPersistFullDiskAccounting fills the store's volume in the middle
+// of one finding burst: the frames written before the fault count as
+// appended and the rest of the burst as dropped, so the two add up to
+// the findings offered, and what a reopened store recovers is a prefix
+// of the burst that renders.
+func TestPersistFullDiskAccounting(t *testing.T) {
+	dir := t.TempDir()
+	store, err := tsdb.Open(tsdb.Options{
+		Dir: dir, CompactEvery: -1, SyncEvery: -1,
+		WrapWriter: func(series string, w io.Writer) io.Writer {
+			if series != SeriesFindings {
+				return w
+			}
+			// Room for about 1.5 of the store's 64 KiB write buffers:
+			// the second flush, some 1,800 findings in, fails.
+			return &faults.FullWriter{W: w, N: 96 << 10}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Output: &syncBuffer{}, Store: store, MetricsEvery: -1, Shards: 1})
+	const offered = 3000
+	s.emitFindings(&streamState{id: 5, sh: s.shards[0]}, liveFindings(offered, 1))
+	shutdown(t, s)
+	store.Close() // fails: the volume is still full
+
+	p := s.Snapshot().Persist
+	if p.Appended+p.Dropped != offered || p.Appended == 0 || p.Dropped == 0 {
+		t.Fatalf("persist accounting %+v for %d findings offered, want both nonzero and summing to it", p, offered)
+	}
+	r, err := tsdb.Open(tsdb.Options{Dir: dir, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := queryAll(t, r, SeriesFindings)
+	if len(got) == 0 || uint64(len(got)) > p.Appended {
+		t.Fatalf("reopened store holds %d findings, %d appended", len(got), p.Appended)
+	}
+	want := liveFindings(len(got), 1)
+	for i, fr := range got {
+		line, err := renderStored(nil, fr)
+		if wantLine := appendFinding(nil, 5, appendStamp(nil, fr.TS), &want[i]); err != nil || !bytes.Equal(line, wantLine) {
+			t.Fatalf("recovered finding %d renders %s (%v), want %s", i, line, err, wantLine)
+		}
 	}
 }

@@ -1102,10 +1102,10 @@ func (s *Server) finalize(st *streamState, sum *StreamSummary, end Event) bool {
 //
 // When timestamps are on (explicitly, or implied by a store) the event
 // is stamped here — once, so the JSONL line and the persisted frame
-// carry the same instant. Finding and stream-end events additionally
-// fan out to the shard's persist queue; a full queue is an immediate
-// counted drop, never a stall (the JSONL line still goes out — the
-// durable copy is the best-effort one).
+// carry the same instant. Stream-end events additionally fan out to the
+// shard's persist queue; a full queue is an immediate counted drop,
+// never a stall (the JSONL line still goes out — the durable copy is
+// the best-effort one).
 func (s *Server) emit(st *streamState, ev Event) {
 	// A finalized stream's abandoned goroutines (wedged detector that
 	// later unwedges) may still try to emit; everything but the end line
@@ -1125,7 +1125,7 @@ func (s *Server) emit(st *streamState, ev Event) {
 			st.dropped.Add(1)
 		}
 	}
-	if sh.persist != nil && (ev.Type == EventFinding || ev.Type == EventStreamEnd) {
+	if sh.persist != nil && ev.Type == EventStreamEnd {
 		sh.queuePersist(persistItem{ev: ev, ts: ts})
 	}
 }
@@ -1133,12 +1133,12 @@ func (s *Server) emit(st *streamState, ev Event) {
 // emitFindings is the one emit path for findings: it hands a burst
 // drained from st's detector to st's shard. The counters move once per
 // burst; the findings themselves cross to the shard writer, as chunks
-// of the drained slice, and to the persist goroutine, as one item, and
-// are rendered there — the detector never touches the slice again and
-// builds no Event and formats no string. A chunk that misses the write
-// deadline counts one drop per finding in it; so does each finding the
-// persist queue has no room for. All findings of the burst share one
-// emission stamp.
+// of the drained slice rendered there, and to the persist goroutine, as
+// one item stored there as records — the detector never touches the
+// slice again and builds no Event and formats no string. A chunk that
+// misses the write deadline counts one drop per finding in it; so does
+// each finding the persist queue has no room for. All findings of the
+// burst share one emission stamp.
 func (s *Server) emitFindings(st *streamState, evs []forensics.Event) {
 	sh := st.sh
 	st.findings.Add(uint64(len(evs)))
@@ -1173,10 +1173,11 @@ func (s *Server) emitFindings(st *streamState, evs []forensics.Event) {
 
 // stamp reads the wall clock once and returns it as unix nanoseconds,
 // or 0 when timestamps are off. Rendering is left to the consumers:
-// the shard writer and the persist goroutine format a finding burst's
-// stamp once per chunk with appendStamp, so the detector goroutine
-// never formats a time; a JSONL line and its persisted frame render
-// the same instant.
+// the shard writer formats a finding burst's stamp once per chunk with
+// appendStamp, and the persist goroutine stores it as the frames'
+// timestamp, which /query formats the same way — so the detector
+// goroutine never formats a time, and a JSONL line and its persisted
+// frame render the same instant.
 func (s *Server) stamp() int64 {
 	if !s.cfg.Timestamps && s.cfg.Store == nil {
 		return 0

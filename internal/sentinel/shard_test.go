@@ -431,7 +431,7 @@ func TestQueuesHoldAtMostTheirEventBound(t *testing.T) {
 			Shards: 1, PersistBuffer: bound, Store: store, MetricsEvery: -1,
 			beforePersist: func(int) { once.Do(func() { close(entered); <-release }) },
 		})
-		s.emit(nil, Event{Type: EventFinding, Stream: 1 << 40, Seq: 1, Kind: "k"})
+		s.emit(nil, Event{Type: EventStreamEnd, Stream: 1 << 40})
 		<-entered
 		sum := s.Ingest("test", "wedged", bytes.NewReader(capture))
 		if sum.Findings < 2*bound {

@@ -13,21 +13,62 @@ import (
 // the file to that length and reopen the store on it. Recovery must
 // keep exactly the frames that fit entirely before the cut — never a
 // partial frame, never fewer than the intact prefix — and the store
-// must accept appends afterwards.
+// must accept appends afterwards. The segment is written once frame by
+// frame with Append and once in batches with AppendBatch.
 func TestRecoveryTruncatedAtEveryByte(t *testing.T) {
+	base := t0.UnixNano()
+	const nFrames = 8
+	payload := func(i int) []byte { return []byte(fmt.Sprintf(`{"finding":%d,"pad":"abcdefgh"}`, i)) }
+	t.Run("append", func(t *testing.T) {
+		var want []Frame
+		for i := 0; i < nFrames; i++ {
+			want = append(want, Frame{TS: base + int64(i), Key: uint64(i + 1), Data: payload(i)})
+		}
+		checkTruncatedAtEveryByte(t, want, func(s *Store) {
+			for _, fr := range want {
+				if err := s.Append("findings", fr.TS, fr.Key, fr.Data); err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+			}
+		})
+	})
+	t.Run("batch", func(t *testing.T) {
+		batches := []int{3, 1, 4} // frames per batch, nFrames in all
+		var want []Frame
+		for b, n := range batches {
+			for j := 0; j < n; j++ {
+				want = append(want, Frame{TS: base + int64(b), Key: uint64(b + 1), Data: payload(len(want))})
+			}
+		}
+		checkTruncatedAtEveryByte(t, want, func(s *Store) {
+			off := 0
+			for _, n := range batches {
+				var data []byte
+				for _, fr := range want[off : off+n] {
+					data = append(data, fr.Data...)
+				}
+				fr := want[off]
+				if got, err := s.AppendBatch("findings", fr.TS, fr.Key, data, len(fr.Data)); err != nil || got != n {
+					t.Fatalf("AppendBatch wrote %d of %d: %v", got, n, err)
+				}
+				off += n
+			}
+		})
+	})
+}
+
+// checkTruncatedAtEveryByte builds one findings segment with write,
+// which must append exactly the frames of want, and checks recovery at
+// every cut of it.
+func checkTruncatedAtEveryByte(t *testing.T, want []Frame, write func(*Store)) {
 	// Build the pristine segment once.
 	master := t.TempDir()
 	s := openTest(t, master, nil)
-	base := t0.UnixNano()
-	const nFrames = 8
-	frameLens := make([]int, nFrames) // encoded size of each frame
-	for i := 0; i < nFrames; i++ {
-		data := []byte(fmt.Sprintf(`{"finding":%d,"pad":"abcdefgh"}`, i))
-		if err := s.Append("findings", base+int64(i), uint64(i+1), data); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-		frameLens[i] = frameHeaderSize + frameMetaSize + len(data)
+	frameLens := make([]int, len(want)) // encoded size of each frame
+	for i, fr := range want {
+		frameLens[i] = frameHeaderSize + frameMetaSize + len(fr.Data)
 	}
+	write(s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -69,6 +110,7 @@ func TestRecoveryTruncatedAtEveryByte(t *testing.T) {
 		}
 		return off
 	}
+	until := want[len(want)-1].TS + 1
 
 	for cut := 0; cut <= len(pristine); cut++ {
 		dir := t.TempDir()
@@ -83,16 +125,15 @@ func TestRecoveryTruncatedAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
-		want := framesBefore(cut)
-		got := collect(t, s2, "findings", 0, base+nFrames, KeyAny)
-		if len(got) != want {
+		n := framesBefore(cut)
+		got := collect(t, s2, "findings", 0, until, KeyAny)
+		if len(got) != n {
 			s2.Close()
-			t.Fatalf("cut %d: recovered %d frames, want %d", cut, len(got), want)
+			t.Fatalf("cut %d: recovered %d frames, want %d", cut, len(got), n)
 		}
 		// The surviving prefix is intact byte-for-byte, in order.
 		for i, fr := range got {
-			wantData := fmt.Sprintf(`{"finding":%d,"pad":"abcdefgh"}`, i)
-			if string(fr.Data) != wantData || fr.TS != base+int64(i) || fr.Key != uint64(i+1) {
+			if w := want[i]; string(fr.Data) != string(w.Data) || fr.TS != w.TS || fr.Key != w.Key {
 				s2.Close()
 				t.Fatalf("cut %d: frame %d corrupt: ts=%d key=%d data=%q", cut, i, fr.TS, fr.Key, fr.Data)
 			}
@@ -104,19 +145,19 @@ func TestRecoveryTruncatedAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantSize := int64(validLen(want)); st.Size() != wantSize {
+		if wantSize := int64(validLen(n)); st.Size() != wantSize {
 			s2.Close()
 			t.Fatalf("cut %d: file is %d bytes after recovery, want %d", cut, st.Size(), wantSize)
 		}
 		// The store must keep working: append lands after the tear.
-		if err := s2.Append("findings", base+nFrames+1, 99, []byte("after-tear")); err != nil {
+		if err := s2.Append("findings", until, 99, []byte("after-tear")); err != nil {
 			s2.Close()
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
-		got2 := collect(t, s2, "findings", 0, base+nFrames+1, KeyAny)
-		if len(got2) != want+1 {
+		got2 := collect(t, s2, "findings", 0, until, KeyAny)
+		if len(got2) != n+1 {
 			s2.Close()
-			t.Fatalf("cut %d: after append: %d frames, want %d", cut, len(got2), want+1)
+			t.Fatalf("cut %d: after append: %d frames, want %d", cut, len(got2), n+1)
 		}
 		last := got2[len(got2)-1]
 		if string(last.Data) != "after-tear" || last.Key != 99 {

@@ -463,6 +463,42 @@ func (s *Store) Append(seriesName string, ts int64, key uint64, data []byte) err
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
+	if err := s.writeFrameLocked(sr, ts, key, data); err != nil {
+		return err
+	}
+	return s.flushDueLocked(sr)
+}
+
+// AppendBatch appends data as len(data)/stride frames of stride bytes
+// each, all with timestamp ts and key key, in order: the same frames,
+// and the same segment files, as that many Append calls, for one series
+// lookup, one lock and one clock read. It returns how many frames it
+// wrote; on an error the frames after that count were not appended.
+// len(data) must be a multiple of stride.
+func (s *Store) AppendBatch(seriesName string, ts int64, key uint64, data []byte, stride int) (int, error) {
+	if stride <= 0 || len(data)%stride != 0 {
+		return 0, fmt.Errorf("tsdb: append batch %s: %d bytes is not a multiple of stride %d", seriesName, len(data), stride)
+	}
+	sr, err := s.getSeries(seriesName)
+	if err != nil {
+		return 0, err
+	}
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	n := 0
+	for off := 0; off < len(data); off += stride {
+		if err := s.writeFrameLocked(sr, ts, key, data[off:off+stride]); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, s.flushDueLocked(sr)
+}
+
+// writeFrameLocked writes one frame to sr's active segment, rolling a
+// segment first if none is active and sealing it once it reaches
+// Options.SegmentBytes (series lock held).
+func (s *Store) writeFrameLocked(sr *series, ts int64, key uint64, data []byte) error {
 	if sr.active == nil {
 		if err := s.rollLocked(sr); err != nil {
 			return err
@@ -470,7 +506,7 @@ func (s *Store) Append(seriesName string, ts int64, key uint64, data []byte) err
 	}
 	sr.scratch = appendFrame(sr.scratch[:0], ts, key, data)
 	if _, err := sr.bw.Write(sr.scratch); err != nil {
-		return fmt.Errorf("tsdb: append %s: %w", seriesName, err)
+		return fmt.Errorf("tsdb: append %s: %w", sr.name, err)
 	}
 	g := sr.active
 	if g.frames == 0 || ts < g.minTS {
@@ -482,15 +518,22 @@ func (s *Store) Append(seriesName string, ts int64, key uint64, data []byte) err
 	g.frames++
 	g.size += int64(len(sr.scratch))
 	if g.size >= s.opts.SegmentBytes {
-		if err := s.sealLocked(sr); err != nil {
-			return err
-		}
-	} else if s.opts.SyncEvery > 0 {
-		if now := s.opts.Now(); now.Sub(sr.lastFlush) >= s.opts.SyncEvery {
-			sr.lastFlush = now
-			if err := sr.bw.Flush(); err != nil {
-				return fmt.Errorf("tsdb: flush %s: %w", seriesName, err)
-			}
+		return s.sealLocked(sr)
+	}
+	return nil
+}
+
+// flushDueLocked hands the active segment's buffered frames to the OS
+// when Options.SyncEvery has passed since the last flush (series lock
+// held). A sealed series has nothing buffered.
+func (s *Store) flushDueLocked(sr *series) error {
+	if sr.bw == nil || s.opts.SyncEvery <= 0 {
+		return nil
+	}
+	if now := s.opts.Now(); now.Sub(sr.lastFlush) >= s.opts.SyncEvery {
+		sr.lastFlush = now
+		if err := sr.bw.Flush(); err != nil {
+			return fmt.Errorf("tsdb: flush %s: %w", sr.name, err)
 		}
 	}
 	return nil

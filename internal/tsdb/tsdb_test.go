@@ -519,3 +519,69 @@ func TestSyncSeries(t *testing.T) {
 		t.Fatalf("ckpt segment does not contain the synced frame (%d bytes)", len(raw))
 	}
 }
+
+// TestAppendBatchMatchesAppend: batches that cross SegmentBytes, several
+// times within one batch, leave segment files byte-identical to the
+// same frames appended one by one, and a batch whose bytes are not a
+// whole number of frames is refused before anything is written.
+func TestAppendBatchMatchesAppend(t *testing.T) {
+	const stride = 40 // 64-byte frames, 15 to a 1000-byte segment
+	small := func(o *Options) { o.SegmentBytes = 1000 }
+	batchDir, oneDir := t.TempDir(), t.TempDir()
+	batch, one := openTest(t, batchDir, small), openTest(t, oneDir, small)
+	base := t0.UnixNano()
+	seq := 0
+	for b, n := range []int{7, 30, 1, 0, 50, 15, 16} {
+		ts, key := base+int64(b), uint64(b%3+1)
+		var data []byte
+		for j := 0; j < n; j++ {
+			rec := fmt.Appendf(nil, "frame %06d", seq)
+			data = append(data, append(rec, bytes.Repeat([]byte{'.'}, stride-len(rec))...)...)
+			seq++
+		}
+		if got, err := batch.AppendBatch("findings", ts, key, data, stride); err != nil || got != n {
+			t.Fatalf("batch %d: AppendBatch wrote %d of %d: %v", b, got, n, err)
+		}
+		for off := 0; off < len(data); off += stride {
+			if err := one.Append("findings", ts, key, data[off:off+stride]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, bad := range []struct {
+		data   []byte
+		stride int
+	}{{make([]byte, 50), stride}, {make([]byte, 40), 0}, {make([]byte, 40), -40}} {
+		if n, err := batch.AppendBatch("findings", base, 1, bad.data, bad.stride); err == nil || n != 0 {
+			t.Fatalf("AppendBatch of %d bytes at stride %d wrote %d frames, err %v", len(bad.data), bad.stride, n, err)
+		}
+	}
+	if err := batch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Close(); err != nil {
+		t.Fatal(err)
+	}
+	read := func(dir string) map[string][]byte {
+		paths, err := filepath.Glob(filepath.Join(dir, "findings", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte, len(paths))
+		for _, p := range paths {
+			if files[filepath.Base(p)], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	got, want := read(batchDir), read(oneDir)
+	if len(want) < 8 || len(got) != len(want) {
+		t.Fatalf("%d segment files from batches, %d one by one (want several)", len(got), len(want))
+	}
+	for name, w := range want {
+		if !bytes.Equal(got[name], w) {
+			t.Fatalf("segment %s differs: %d bytes from batches, %d one by one", name, len(got[name]), len(w))
+		}
+	}
+}

@@ -5,8 +5,7 @@
 #
 #   scripts/verify.sh          # full tier-1
 #
-# The committed BENCH_pr*.json files are frozen history and are not
-# checked here; current performance numbers come from bash bench/run.sh.
+# Performance numbers come from bash bench/run.sh, not from this script.
 set -eux
 
 # Formatting: gofmt must have nothing to rewrite in the root module.
@@ -43,13 +42,15 @@ go test -run xxx -bench BenchmarkLiveReduceDense -benchtime 1x ./internal/forens
 # Untrusted-input fuzz smoke: a few seconds each on the session
 # handshake + chunk reader, on the /query parameter parser, on the
 # detector's in-place record decoder against the typed hci parsers, on
-# the checkpoint codec (any accepted input must be canonical), and on
-# the JSON string escaper against encoding/json.
+# the checkpoint codec (any accepted input must be canonical), on the
+# JSON string escaper against encoding/json, and on the stored finding
+# record decoder (any accepted input must re-encode to itself).
 go test -run '^$' -fuzz '^FuzzSessionHandshake$' -fuzztime 5s ./internal/sentinel
 go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 5s ./internal/sentinel
 go test -run '^$' -fuzz '^FuzzDecodeKept$' -fuzztime 5s ./internal/forensics
 go test -run '^$' -fuzz '^FuzzRestoreState$' -fuzztime 5s ./internal/forensics
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 5s ./internal/sentinel
+go test -run '^$' -fuzz '^FuzzFindingRecord$' -fuzztime 5s ./internal/sentinel
 
 # Live detection daemon: self-contained end-to-end smoke (ephemeral
 # sockets, live JSONL events verified against the batch analyzer on
