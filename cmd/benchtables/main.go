@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -23,7 +22,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/eval"
-	"repro/internal/sentinel"
 	"repro/internal/snoop"
 )
 
@@ -43,8 +41,6 @@ func main() {
 		synth       = flag.String("synth", "", "write a synthetic btsnoop capture (for pipeline smoke tests) to this path and exit")
 		synthN      = flag.Int("synthrecords", 1_000_000, "with -synth: capture size in records")
 		tsdbsmoke   = flag.String("tsdbsmoke", "", "deterministic tsdb store smoke: append 1M findings into a store at this directory, compact, query, print counts and digests, exit")
-		chaos       = flag.Bool("chaos", false, "full-sweep transport-chaos differential: cut the session transport at every byte offset of a small synthetic capture, resume, and require findings byte-identical to an uninterrupted run")
-		chaosN      = flag.Int("chaosrecords", 250, "with -chaos: capture size in records (every byte offset of it is a trial)")
 	)
 	flag.Parse()
 
@@ -77,20 +73,6 @@ func main() {
 		if err := runTSDBSmoke(*tsdbsmoke); err != nil {
 			fail(err)
 		}
-		return
-	}
-
-	if *chaos {
-		var capture bytes.Buffer
-		if _, err := snoop.Synthesize(&capture, snoop.SynthConfig{Records: *chaosN, Seed: *seed}); err != nil {
-			fail(err)
-		}
-		logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-		if err := sentinel.RunResumeDifferential(capture.Bytes(), 1, logf); err != nil {
-			fail(err)
-		}
-		fmt.Printf("chaos differential: %d records, every one of %d cut offsets resumed byte-identically\n",
-			*chaosN, capture.Len())
 		return
 	}
 

@@ -9,34 +9,54 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bt"
+	"repro/internal/forensics"
+	"repro/internal/sentinel"
 	"repro/internal/tsdb"
 )
 
-// tsdbRecords is the payload count for the deterministic store smoke:
+// tsdbRecords is the finding count for the deterministic store smoke:
 // one synthetic finding per millisecond across a ~17-minute span, so
 // retention and the time-indexed segment directory have real work to
 // do. Store performance numbers come from bash bench/run.sh (the tsdb.*
 // rows).
 const tsdbRecords = 1_000_000
 
-// tsdbPayload appends the i-th synthetic finding line: a small JSONL
-// object shaped like a finding event, with the frame timestamp also
-// embedded.
-func tsdbPayload(buf []byte, ts int64, i int) []byte {
-	return fmt.Appendf(buf, `{"ts":%d,"seq":%d,"stream":%d,"kind":"probe","detail":"synthetic finding %d"}`,
-		ts, i+1, i%16+1, i)
+// tsdbBurst is how many findings share one AppendBatch, one stream key
+// and one stamp, as a drained burst does in the daemon; burst j is
+// stamped at the millisecond of its first finding. It divides
+// tsdbRecords and the final-minute window.
+const tsdbBurst = 16
+
+// tsdbFinding returns the i-th synthetic finding as the live detector
+// would emit it.
+func tsdbFinding(i int) forensics.Event {
+	at := tsdbBase.Add(time.Duration(i) * time.Millisecond)
+	kinds := [...]string{forensics.FindingPageBlocking, forensics.FindingSilentRepairing, forensics.FindingKeyTypeDowngrade}
+	return forensics.Event{
+		Seq:   uint64(i + 1),
+		Frame: 7*i + 1,
+		Time:  at,
+		Finding: forensics.Finding{
+			Kind:   kinds[i%len(kinds)],
+			Frame:  7*i + 1,
+			Handle: bt.ConnHandle(i % 4096),
+			Peer:   bt.BDADDR{0x5a, 0x3c, byte(i >> 16), byte(i >> 8), byte(i), byte(i % 16)},
+		},
+	}
 }
 
-// tsdbBase is the fixed epoch the smoke timeline starts at; payload i
+// tsdbBase is the fixed epoch the smoke timeline starts at; finding i
 // lands at tsdbBase + i milliseconds. Nothing here reads the wall
 // clock, which is what makes the smoke byte-reproducible.
 var tsdbBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // runTSDBSmoke is the deterministic store check scripts/verify.sh runs
-// twice and compares: append 1M findings on a fixed timeline, seal and
-// retention-compact with a fixed clock, query back, and print counts
-// plus a digest of every byte in the store directory. Nothing reads
-// the wall clock, so two runs must print identical lines — any
+// twice and compares: append 1M findings on a fixed timeline, as the
+// daemon stores them (48-byte records, one AppendBatch per burst), seal
+// and retention-compact with a fixed clock, query back, and print
+// counts plus a digest of every byte in the store directory. Nothing
+// reads the wall clock, so two runs must print identical lines — any
 // divergence means nondeterminism leaked into the segment format or
 // the compaction order.
 func runTSDBSmoke(dir string) error {
@@ -55,9 +75,17 @@ func runTSDBSmoke(dir string) error {
 	tsAt := func(i int) int64 {
 		return tsdbBase.Add(time.Duration(i) * time.Millisecond).UnixNano()
 	}
-	for i := 0; i < tsdbRecords; i++ {
-		buf = tsdbPayload(buf[:0], tsAt(i), i)
-		if err := store.Append("findings", tsAt(i), uint64(i%16+1), buf); err != nil {
+	for first := 0; first < tsdbRecords; first += tsdbBurst {
+		buf = buf[:0]
+		for i := first; i < first+tsdbBurst; i++ {
+			ev := tsdbFinding(i)
+			var ok bool
+			if buf, ok = sentinel.AppendFindingRecord(buf, &ev); !ok {
+				return fmt.Errorf("tsdbsmoke: finding %d has no record form", i)
+			}
+		}
+		key := uint64(first/tsdbBurst%16 + 1)
+		if _, err := store.AppendBatch(sentinel.SeriesFindings, tsAt(first), key, buf, sentinel.FindingRecordSize); err != nil {
 			return err
 		}
 	}
@@ -76,7 +104,7 @@ func runTSDBSmoke(dir string) error {
 
 	var remaining, window int
 	digest := sha256.New()
-	err = store.Query("findings", 0, tsAt(tsdbRecords-1), tsdb.KeyAny, func(fr tsdb.Frame) error {
+	err = store.Query(sentinel.SeriesFindings, 0, tsAt(tsdbRecords-1), tsdb.KeyAny, func(fr tsdb.Frame) error {
 		remaining++
 		digest.Write(fr.Data)
 		return nil
@@ -87,7 +115,7 @@ func runTSDBSmoke(dir string) error {
 	if remaining == tsdbRecords || remaining == 0 {
 		return fmt.Errorf("tsdbsmoke: retention left %d of %d records", remaining, tsdbRecords)
 	}
-	err = store.Query("findings", tsAt(tsdbRecords-60_000), tsAt(tsdbRecords-1), tsdb.KeyAny, func(tsdb.Frame) error {
+	err = store.Query(sentinel.SeriesFindings, tsAt(tsdbRecords-60_000), tsAt(tsdbRecords-1), tsdb.KeyAny, func(tsdb.Frame) error {
 		window++
 		return nil
 	})

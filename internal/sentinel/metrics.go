@@ -101,7 +101,7 @@ func (m *shardMetrics) init() {
 }
 
 // packetTally is one batch's worth of per-type packet counts. The
-// reader goroutine accumulates it lock-free inside the scan sweep's
+// scanner goroutine accumulates it lock-free inside the scan sweep's
 // keep callback (the only pass that sees rejected records' payloads)
 // and ships it through the ring with the batch; the detector loop folds
 // it into the stream's shard block, at most one Add per type per batch

@@ -27,17 +27,20 @@
 // event path collapses to exactly the pre-shard single-writer behavior.
 //
 // Memory is bounded by design, not by luck: each connection owns one
-// batch pipeline — a snoop.BatchScanner feeding a fixed set of
-// ingestRingDepth record batches through a pair of SPSC rings — and one
-// Detector; JSONL events flow through the stream's shard queue, and an
-// enqueue that cannot progress within WriteTimeout drops the event
+// pipeline — a transport reading into a pool of ingestBlocks read
+// blocks, a snoop.BatchScanner decoding them in place into a fixed set
+// of ingestRingDepth record batches, SPSC rings between the three — and
+// one Detector; JSONL events flow through the stream's shard queue, and
+// an enqueue that cannot progress within WriteTimeout drops the event
 // (counted in events_dropped, accounted per shard, and surfaced on the
 // stream-end line) instead of stalling ingestion — a wedged shard
 // writer costs that shard's events, never detection and never the other
 // shards' events; and MaxStreams caps the number of simultaneous
-// connections. Peak memory is O(MaxStreams × ring of block buffers +
-// Shards × EventBuffer), independent of stream length — the same
-// discipline as the PR 2 batch pipeline's bounded window.
+// connections. Peak memory is O(MaxStreams × ingestBlocks × block size
+// + Shards × EventBuffer), independent of stream length: a stream's
+// pool is at most ingestBlocks × (ingestBlockBytes +
+// snoop.BlockHeadroom) ≈ 2.7 MB, so ~170 MB of blocks at the default
+// 64 streams.
 //
 // Failure is classified, not swallowed: a stream that ends on a record
 // boundary is "clean" (a socket stream only with its fin chunk), one
@@ -165,8 +168,9 @@ type Config struct {
 	// the periodic ones.
 	CheckpointEvery int64
 	// AckEvery is the payload-byte interval between session-ack lines
-	// written back to a session client. Acks are written synchronously on
-	// the ingest reader goroutine, so each one costs the hot path a
+	// written back to a session client. Acks count payload bytes the
+	// stream's transport goroutine received and are written
+	// synchronously on it, so each one costs the read path a
 	// deadline-set plus a socket write; the default of 4 MiB keeps that
 	// overhead to a handful of writes per typical capture while still
 	// bounding how much a resuming client has to resend. Lower it when
@@ -720,20 +724,39 @@ func (s *Server) Ingest(proto, label string, r io.Reader) StreamSummary {
 }
 
 // ingestRingDepth is how many record batches circulate between a
-// stream's reader and detector goroutines: enough that the reader can
-// buffer a block ahead while the detector drains one, small enough that
-// MaxStreams concurrent pipelines stay cheap. The free ring is never
-// closed and exactly ingestRingDepth batches circulate, so neither side
-// can deadlock: the reader blocks only when the detector holds every
-// batch (backpressure), and the detector always recycles before
-// popping the next.
+// stream's scanner and detector goroutines: enough that the scanner can
+// decode a block ahead while the detector drains one. The free ring is
+// never closed while both run and exactly ingestRingDepth batches
+// circulate, so neither side can deadlock: the scanner blocks only when
+// the detector holds every batch (backpressure), and the detector
+// always recycles before popping the next.
 const ingestRingDepth = 4
 
-// ingestBlockBytes is the scanner block size for live streams; see the
-// comment at the NewBatchScannerSize call in ingest.
+// ingestBlockBytes is the read size of a live stream's blocks: a socket
+// read costs the same syscall whether it returns 64 KiB or 256 KiB, and
+// larger blocks mean fuller batches and fewer handoffs per megabyte.
 const ingestBlockBytes = 256 << 10
 
-// ingestItem is one filled batch in flight from reader to detector:
+// ingestBlocks is how many blocks a stream's transport can read ahead
+// of its scanner, and so the stream's read-ahead bound: ingestBlocks ×
+// (ingestBlockBytes + snoop.BlockHeadroom) bytes, ~2.7 MB, allocated as
+// the stream needs them. A socket read averages about half a block (a
+// client can run at most one socket send buffer ahead), so ten blocks
+// keep ~1.3 MB in flight; fewer blocks made the scanner wait on the
+// transport, and more gained nothing.
+const ingestBlocks = 10
+
+// blockQueue is the ring from a stream's transport goroutine to its
+// scanner, as the scanner's block source. Pop returns nil once the ring
+// is closed and drained.
+type blockQueue struct{ *spsc.Ring[*snoop.Block] }
+
+func (q blockQueue) Next() *snoop.Block {
+	b, _ := q.Pop()
+	return b
+}
+
+// ingestItem is one filled batch in flight from scanner to detector:
 // the kept records plus everything the detector side needs to account
 // for the full swept span — the scan-completion clock (the anchor for
 // ingest and detection latency), the stream offset and cumulative frame
@@ -762,29 +785,44 @@ type resumeState struct {
 	ckptSeq  uint64
 }
 
-// ingest is the per-stream core, a two-stage pipeline over a pair of
-// SPSC rings. The reader goroutine owns the socket and the
-// BatchScanner: one large read per block, one sweep that classifies
-// every record in it — the keep callback tallies packet types and
-// applies the forensics prefilter, so the ~97% of records the reducer
-// ignores are never materialized — then a ring handoff of the kept
-// records. The batch stays valid until the reader gets it back through
-// the free ring, which is the scanner's reuse contract. The detector
-// side (this goroutine) owns the Detector and all counters:
-// records/bytes/packet tallies are bumped once per batch (covering the
-// full swept span, rejected records included) into the stream's shard
-// block — streams on different shards never touch the same cache
-// lines — and findings are drained and emitted the moment the
-// completing batch is pushed. Stage latency (scan, push, drain, emit)
-// is observed per batch rather than sampled per record — the batch
-// amortizes the clock reads that used to need a sampling stride.
+// runPipeline is the per-stream core, a three-stage pipeline. The
+// transport goroutine owns the input — for a socket, the session
+// framing, read deadlines, acks and the cut classification of
+// sessionReader — and reads it into the blocks of a fixed per-stream
+// pool, ingestBlocks deep, handing each filled block to the scanner
+// through an SPSC ring; so the next socket read overlaps the sweep of
+// the last one instead of taking turns with it. The scanner goroutine
+// owns the BatchScanner: it decodes each block in place, in one sweep
+// that classifies every record in it — the keep callback tallies packet
+// types and applies the forensics prefilter, so the ~97% of records the
+// reducer ignores are never materialized — then hands the kept records
+// to the detector through a second pair of rings. A batch's records
+// alias its block, which goes back to the pool when the detector
+// recycles the batch. The detector side (this goroutine) owns the
+// Detector and all counters: records/bytes/packet tallies are bumped
+// once per batch (covering the full swept span, rejected records
+// included) into the stream's shard block — streams on different shards
+// never touch the same cache lines — and findings are drained and
+// emitted the moment the completing batch is pushed. Stage latency
+// (scan, push, drain, emit) is observed per batch rather than sampled
+// per record — the batch amortizes the clock reads that used to need a
+// sampling stride.
+//
+// Acks count bytes the transport received, which can run up to the
+// pool ahead of the bytes scanned; a resume starts from the detector's
+// position, never from an ack.
 //
 // Liveness: ScanBatchKeep returns as soon as the sweep advances, even
 // when every record in the block was rejected, so counters track a
 // trickling phone log record by record and a one-record batch flows at
 // one-record latency. A wedged event consumer still costs events, never
-// detection: emit drops on its shard's write deadline, and the reader
-// at worst idles until the detector recycles a batch.
+// detection: emit drops on its shard's write deadline, and the scanner
+// and transport at worst idle until the detector recycles a batch. When
+// the scanner stops before the transport has ended its input (corrupt
+// framing, a detector panic), the pipeline wakes the transport — the
+// pool and ring close, and a socket is closed under a pending read — so
+// no goroutine outlives its stream. A plain reader's pending Read is
+// waited for.
 func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) StreamSummary {
 	sm := &st.sh.m
 	// A parked stream resuming in this process already started.
@@ -794,10 +832,9 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 	}
 	st.lastActive.Store(time.Now().UnixNano())
 
-	// 256 KiB blocks: a unix-socket read costs the same syscall whether
-	// it returns 64 KiB or 256 KiB, and larger blocks mean fuller
-	// batches and fewer ring handoffs per captured megabyte.
-	sc := snoop.NewBatchScannerSize(r, ingestBlockBytes)
+	pool := snoop.NewBlockPool(ingestBlocks, ingestBlockBytes)
+	blocks := spsc.New[*snoop.Block](ingestBlocks)
+	sc := snoop.NewBlockScanner(blockQueue{blocks})
 	var det *forensics.Detector
 	var prevOff int64  // last batch offset the detector consumed
 	var prevFrames int // last batch frame count the detector consumed
@@ -810,7 +847,7 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 		// stream's cumulative counters pick up from there — only the shard
 		// counters stay this-process-only deltas.
 		if res.off > 0 {
-			sc = snoop.ResumeBatchScanner(r, ingestBlockBytes, res.off, res.frames, res.datalink)
+			sc = snoop.ResumeBlockScanner(blockQueue{blocks}, res.off, res.frames, res.datalink)
 		}
 		det = res.det
 		prevOff, prevFrames, ckptSeq, lastCkpt = res.off, res.frames, res.ckptSeq, res.off
@@ -835,21 +872,53 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 		free.TryPush(&snoop.RecordBatch{})
 	}
 
-	// residual carries what the reader's final, failed scan call swept
+	// The transport: one Fill per pool block, until the input ends (the
+	// block carrying the read error is the last) or the pool or ring
+	// closes under it. ended is set before that last push, so the
+	// teardown below knows the transport needs no wake-up. tPanic is
+	// read after transportDone.Wait.
+	var tPanic any
+	var ended atomic.Bool
+	var transportDone sync.WaitGroup
+	transportDone.Add(1)
+	go func() {
+		defer transportDone.Done()
+		defer blocks.Close()
+		defer func() {
+			if p := recover(); p != nil {
+				tPanic = p
+			}
+		}()
+		for {
+			blk := pool.Get()
+			if blk == nil {
+				return
+			}
+			err := blk.Fill(r)
+			if err != nil {
+				ended.Store(true)
+			}
+			if !blocks.Push(blk) || err != nil {
+				return
+			}
+		}
+	}()
+
+	// residual carries what the scanner's final, failed scan call swept
 	// before the stream ended (records ahead of a corrupt header, say):
-	// written before readerDone.Done, read after Wait. rPanic rides the
+	// written before scanDone.Done, read after Wait. sPanic rides the
 	// same ordering.
 	var residual struct {
 		frames int
 		tally  packetTally
 	}
-	var rPanic, detPanic any
-	var readerDone sync.WaitGroup
-	readerDone.Add(1)
+	var sPanic, detPanic any
+	var scanDone sync.WaitGroup
+	scanDone.Add(1)
 	go func() {
-		defer readerDone.Done()
+		defer scanDone.Done()
 		// Closing filled (after the final push) is what hands the stream
-		// end to the detector loop; readerDone.Wait below then orders the
+		// end to the detector loop; scanDone.Wait below then orders the
 		// scanner's terminal Err/Offset before this goroutine reads them.
 		defer filled.Close()
 		// The recover defer runs before the two above (LIFO), so a panic
@@ -857,7 +926,7 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 		// waiter — the stream dies alone, the daemon does not.
 		defer func() {
 			if p := recover(); p != nil {
-				rPanic = p
+				sPanic = p
 			}
 		}()
 		var tally packetTally
@@ -940,16 +1009,19 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 				lastCkpt = it.off
 			}
 			st.beat.Stop()
-			// Depth batches circulate and free is never closed, so recycling
-			// cannot fail; the guard only drops the batch to the GC.
+			// The block goes back to the transport's pool; depth batches
+			// circulate and free is never closed, so recycling cannot fail.
+			it.b.Release()
 			free.TryPush(it.b)
 		}
 	}()
 	if detPanic != nil {
-		// The detector died mid-stream; the reader may be blocked on
-		// free.Pop, on filled.Push, or on the transport. Close the free
-		// ring, kill the transport, and drain the filled ring until the
-		// reader's defer closes it.
+		// The detector died mid-stream; the scanner may be blocked on
+		// free.Pop, on filled.Push, or on the block ring, and the
+		// transport on the pool or the input. Close the free ring, kill
+		// the input (the transport's last block then ends the scan), and
+		// drain the filled ring until the scanner's defer closes it; the
+		// teardown below stops the transport.
 		free.Close()
 		s.connMu.Lock()
 		if st.conn != nil {
@@ -962,7 +1034,16 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 			}
 		}
 	}
-	readerDone.Wait()
+	scanDone.Wait()
+	// The scanner is done. A transport that has not ended its input is
+	// woken: the closed pool ends a wait for a block, the closed ring a
+	// push, and a closed socket a pending read.
+	pool.Close()
+	blocks.Close()
+	if sr, ok := r.(*sessionReader); ok && !ended.Load() {
+		_ = sr.conn.Close()
+	}
+	transportDone.Wait()
 	if residual.frames > prevFrames {
 		n := uint64(residual.frames - prevFrames)
 		st.records.Add(n)
@@ -982,9 +1063,12 @@ func (s *Server) runPipeline(st *streamState, r io.Reader, res *resumeState) Str
 		status = StatusPanic
 		records, offset = prevFrames, prevOff
 		endErr = fmt.Errorf("panic: %v", detPanic)
-	case rPanic != nil:
+	case sPanic != nil:
 		status = StatusPanic
-		endErr = fmt.Errorf("panic: %v", rPanic)
+		endErr = fmt.Errorf("panic: %v", sPanic)
+	case tPanic != nil:
+		status = StatusPanic
+		endErr = fmt.Errorf("panic: %v", tPanic)
 	case err != nil && st.aborted.Load():
 		// Force-closed by shutdown after the drain grace: the raw
 		// transport error (use of closed connection) says "error", but the

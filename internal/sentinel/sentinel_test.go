@@ -31,10 +31,20 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
-func (b *syncBuffer) Lines() []byte {
+func (b *syncBuffer) Lines() []byte { return b.Since(0) }
+
+// Len is how many bytes the buffer holds, a mark for Since.
+func (b *syncBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
+	return b.buf.Len()
+}
+
+// Since copies what was written after the buffer held mark bytes.
+func (b *syncBuffer) Since(mark int) []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]byte(nil), b.buf.Bytes()[mark:]...)
 }
 
 func parseEvents(t *testing.T, raw []byte) []Event {

@@ -44,11 +44,11 @@ import (
 // resumeState — and the hello tells the client the offset to resend
 // from. The findings the merged run emits are byte-identical to an
 // uninterrupted ingest of the same capture (the chaos differential in
-// chaos.go sweeps a cut at every payload offset to pin exactly that). A
-// restart survives too: periodic and park-time detector checkpoints land
-// in the store, RecoverSessions rebuilds entries from them, and a
-// reconnect restores the detector from the checkpoint and resumes the
-// same way.
+// chaos_test.go sweeps a cut at every payload offset to pin exactly
+// that). A restart survives too: periodic and park-time detector
+// checkpoints land in the store, RecoverSessions rebuilds entries from
+// them, and a reconnect restores the detector from the checkpoint and
+// resumes the same way.
 const (
 	sessionMagic   = "blapses1"
 	sessionVersion = 1
@@ -478,10 +478,10 @@ func (s *Server) expireSession(ent *sessionEntry, res *resumeState, ckpt *ckptDo
 }
 
 // sessionReader adapts the chunked session transport into the plain
-// io.Reader the scanner pipeline consumes. A transport error ends the
-// read: for a named session that may resume, with errSessionCut, which
-// makes the pipeline park. Only the reader goroutine touches its
-// fields.
+// io.Reader the pipeline's transport goroutine fills blocks from. A
+// transport error ends the read: for a named session that may resume,
+// with errSessionCut, which makes the pipeline park. Only the transport
+// goroutine touches its fields.
 type sessionReader struct {
 	s  *Server
 	st *streamState
@@ -489,8 +489,8 @@ type sessionReader struct {
 	conn net.Conn
 	// remaining is what's left of the current chunk.
 	remaining int64
-	// delivered counts payload bytes handed to the scanner, from the
-	// offset the stream (re)started at; acks report it.
+	// delivered counts payload bytes received, from the offset the
+	// stream (re)started at; acks report it.
 	delivered int64
 	ackedAt   int64
 	fin       bool

@@ -31,23 +31,6 @@ func sendSession(t *testing.T, conn io.Writer, capture []byte, from int64) {
 	}
 }
 
-// TestResumeDifferentialCutEveryStride is the transport-chaos
-// differential at test scale: cut the transport at a sweep of payload
-// offsets, resume each time, and demand findings byte-identical to the
-// uninterrupted baseline. The full cut-at-every-byte sweep runs in
-// benchtables' -chaos mode; here the stride keeps the test inside a few
-// seconds (coarser still under the race detector).
-func TestResumeDifferentialCutEveryStride(t *testing.T) {
-	capture := synthCapture(t, 2000, 21)
-	stride := len(capture)/97 + 1
-	if testing.Short() || raceEnabled {
-		stride = len(capture)/23 + 1
-	}
-	if err := RunResumeDifferential(capture, stride, t.Logf); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSessionResumeAcrossReconnect pins the basic warm-resume flow and
 // its observable events: parked and resumed land on the output, the
 // resumed stream keeps its id, and the merged run ends clean with the

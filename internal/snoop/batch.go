@@ -2,18 +2,22 @@ package snoop
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 )
 
-// BatchScanner is the btsnoop decoder. One large Read per pass deposits
-// a block of the stream directly into the batch's buffer, and a single
-// in-memory sweep decodes every complete record header in it, so
-// steady-state cost is one syscall and one buffer sweep per ~64 KiB of
-// capture rather than two reads per ~50-byte record. For captures
-// already in memory, NewBatchScannerBytes skips even that one copy and
-// decodes records aliasing the input.
+// BatchScanner is the btsnoop decoder. A stream arrives as blocks —
+// one read's worth of bytes each, in a buffer with headroom in front —
+// and a single in-memory sweep decodes every complete record header in
+// a block where it lies, so steady-state cost is one read and one sweep
+// per block rather than two reads per ~50-byte record. The partial
+// record a block ends on is copied into the next block's headroom and
+// decoded there; one longer than the headroom is collected into a
+// one-off joined buffer from as many blocks as it spans. For captures
+// already in memory, NewBatchScannerBytes decodes records aliasing the
+// input as one block with nothing to carry.
 //
 //	sc := snoop.NewBatchScanner(r)
 //	var b snoop.RecordBatch
@@ -21,6 +25,14 @@ import (
 //		for i := range b.Records { ... } // Data valid until the next ScanBatch on b
 //	}
 //	if err := sc.Err(); err != nil { ... }
+//
+// There is one stream path. A plain io.Reader gets a synchronous block
+// source: each block is one Read on the scanning goroutine. A caller
+// that reads ahead on a goroutine of its own (the sentinel daemon's
+// transport stage) fills blocks from a bounded BlockPool and hands them
+// over through a BlockSource; its scanner decodes them in place, and a
+// block goes back to the pool once the scanner has moved past it and
+// every batch holding records from it has been released.
 //
 // Liveness: ScanBatch never waits for a full block — it returns as soon
 // as at least one complete record is buffered, so a trickling live
@@ -35,31 +47,37 @@ import (
 // the byte where the data ran out; corrupt length framing wraps
 // ErrBadFraming, with Offset rewound to the offending header; transport
 // failures (e.g. a socket read deadline) keep their underlying error in
-// the chain. FuzzScanner pins stream, trickle and bytes modes to a
-// record-at-a-time reference decoder on arbitrary input.
+// the chain. FuzzScanner pins reader, trickle, split-block, resumed and
+// bytes scans to a record-at-a-time reference decoder on arbitrary
+// input.
 type BatchScanner struct {
-	r          io.Reader
-	all        []byte // bytes mode: the entire stream, decoded in place
-	pos        int    // bytes mode: consumed index into all
-	tail       []byte // stream mode: partial element carried between batches
-	off        int64  // stream offset of the first unconsumed byte
-	frame      int    // frames delivered so far
-	err        error  // terminal state; io.EOF means clean end
-	rdErr      error  // pending read error, surfaced once buffered bytes drain
-	started    bool
-	datalink   uint32
-	smallRun   int // consecutive records <= shrinkTo, for the shrink valve
-	batchBytes int
+	src BlockSource
+	// cur is the block being decoded, on the scanner's own reference;
+	// nil before the first block, after the end, and in bytes mode.
+	cur *Block
+	// span is the bytes being decoded: cur's carried tail and read
+	// bytes, or a joined record; pos is the consumed index into it.
+	span []byte
+	pos  int
+	// rest, while span is a joined record, is where decoding resumes in
+	// cur once that record is consumed; -1 otherwise.
+	rest     int
+	off      int64 // stream offset of the first unconsumed byte
+	frame    int   // frames delivered so far
+	err      error // terminal state; io.EOF means clean end
+	rdErr    error // the source's terminal error, surfaced once buffered bytes drain
+	started  bool
+	datalink uint32
 }
 
 // RecordBatch is one batch of decoded records. Records[i].Data aliases
-// the batch's internal buffer (or, in bytes mode, the input slice),
-// which the owning BatchScanner refills on the next ScanBatch call with
-// this batch — so a batch handed to another goroutine (the sentinel
-// ring) stays valid until it is recycled, and a batch reused in a loop
-// is valid until the next ScanBatch(&b). Payloads that must outlive the
-// batch are copied, cheaply, via Slab.Copy rather than per-record Clone
-// allocations.
+// the block the records were decoded from (or, in bytes mode, the input
+// slice, and there is no block). The batch holds that block until Release, which ScanBatch
+// calls first on the batch it is given — so a batch handed to another
+// goroutine (the sentinel ring) stays valid until it is released, and a
+// batch reused in a loop is valid until the next ScanBatch(&b).
+// Payloads that must outlive the batch are copied, cheaply, via
+// Slab.Copy rather than per-record Clone allocations.
 type RecordBatch struct {
 	// Records holds the batch's records in capture order.
 	Records []Record
@@ -72,53 +90,57 @@ type RecordBatch struct {
 	// number of each Records[i]. Empty for ScanBatch batches.
 	Frames []int
 
-	buf []byte // stream mode: backing store for every Records[i].Data
+	blk *Block // the pool block Records alias, held until Release
+}
+
+// Release hands the batch's block back towards its pool; Records must
+// not be read after it. Releasing an empty or already released batch is
+// a no-op.
+func (b *RecordBatch) Release() {
+	if b.blk != nil {
+		b.blk.release()
+		b.blk = nil
+	}
 }
 
 const (
-	// defaultBatchBytes is the target block size per batch: large enough
-	// that header decoding amortizes the syscall, small enough that
-	// MaxStreams concurrent batches stay cheap (4 in-flight batches per
-	// sentinel stream = 256 KiB).
+	// defaultBatchBytes is the read size of a plain io.Reader scan: large
+	// enough that header decoding amortizes the syscall.
 	defaultBatchBytes = 64 << 10
 
 	// maxBatchRecords bounds Records growth per batch so a bytes-mode
 	// scan over a million-record capture recycles one modest struct
 	// slice instead of materializing them all at once.
 	maxBatchRecords = 4096
-
-	// Buffer-shrink valve: one giant record (up to maxRecord, 1 MiB)
-	// grows a stream-mode batch buffer, and without a release valve the
-	// scanner would pin that high-water allocation for the rest of the
-	// stream — per connection in blapd, max-record-sized ballast per idle
-	// stream. After shrinkAfter consecutive records of at most shrinkTo
-	// bytes, a buffer beyond twice the block size is dropped for a fresh
-	// one. The run-length condition keeps a genuinely mixed stream
-	// (periodic big vendor events) from thrashing allocations.
-	shrinkTo    = 4 << 10
-	shrinkAfter = 64
 )
 
+// errSourceClosed ends a scan whose BlockSource closed without handing
+// over a block that carries the stream's terminal error — a pipeline
+// torn down mid-stream.
+var errSourceClosed = errors.New("snoop: block source closed")
+
 // NewBatchScanner returns a BatchScanner over a btsnoop stream with the
-// default block size. It never wraps r in a bufio.Reader — the batch
-// buffer is the read buffer.
+// default block size. It never wraps r in a bufio.Reader — the block is
+// the read buffer.
 func NewBatchScanner(r io.Reader) *BatchScanner {
 	return NewBatchScannerSize(r, defaultBatchBytes)
 }
 
-// NewBatchScannerSize is NewBatchScanner with an explicit target block
-// size (bytes read per syscall and decoded per sweep). Values below 4
-// KiB are raised to 4 KiB. Batch analysis of on-disk captures profits
-// from larger blocks (256 KiB); live sockets from the default.
+// NewBatchScannerSize is NewBatchScanner with an explicit block size
+// (bytes read per Read call). Values below 4 KiB are raised to 4 KiB.
+// Batch analysis of on-disk captures profits from larger blocks (256
+// KiB).
 func NewBatchScannerSize(r io.Reader, blockBytes int) *BatchScanner {
-	if blockBytes < 4<<10 {
-		blockBytes = 4 << 10
-	}
-	return &BatchScanner{r: r, batchBytes: blockBytes}
+	return NewBlockScanner(newReaderSource(r, blockBytes))
 }
 
-// ResumeBatchScanner returns a BatchScanner that continues a previously
-// interrupted scan: r must deliver the capture's bytes starting at
+// NewBlockScanner returns a BatchScanner over the blocks src hands it.
+func NewBlockScanner(src BlockSource) *BatchScanner {
+	return &BatchScanner{src: src, rest: -1}
+}
+
+// ResumeBlockScanner returns a BatchScanner that continues a previously
+// interrupted scan: src must deliver the capture's bytes starting at
 // absolute offset off (a record boundary reached by the earlier scan),
 // frame is the 1-based frame count already delivered, and datalink is
 // the file header's datalink type (the header was consumed by the
@@ -126,8 +148,8 @@ func NewBatchScannerSize(r io.Reader, blockBytes int) *BatchScanner {
 // error classification continue exactly as if one scanner had read the
 // whole stream — the resume contract blapd's session checkpoints rely
 // on.
-func ResumeBatchScanner(r io.Reader, blockBytes int, off int64, frame int, datalink uint32) *BatchScanner {
-	s := NewBatchScannerSize(r, blockBytes)
+func ResumeBlockScanner(src BlockSource, off int64, frame int, datalink uint32) *BatchScanner {
+	s := NewBlockScanner(src)
 	s.started = true
 	s.off = off
 	s.frame = frame
@@ -135,45 +157,29 @@ func ResumeBatchScanner(r io.Reader, blockBytes int, off int64, frame int, datal
 	return s
 }
 
-// NewBatchScannerBytes returns a BatchScanner over an in-memory capture.
-// No bytes are copied: batch records alias data directly, so the caller
+// ResumeBatchScanner is ResumeBlockScanner over a plain io.Reader.
+func ResumeBatchScanner(r io.Reader, blockBytes int, off int64, frame int, datalink uint32) *BatchScanner {
+	return ResumeBlockScanner(newReaderSource(r, blockBytes), off, frame, datalink)
+}
+
+// NewBatchScannerBytes returns a BatchScanner over an in-memory capture:
+// the whole input is the span to decode, and the stream ends with it. No
+// bytes are copied: batch records alias data directly, so the caller
 // must not mutate data while batches are in use. Semantics are otherwise
 // identical to the streaming scanner.
 func NewBatchScannerBytes(data []byte) *BatchScanner {
-	if data == nil {
-		data = []byte{} // non-nil sentinel: all==nil selects stream mode
-	}
-	return &BatchScanner{all: data, rdErr: io.EOF, batchBytes: defaultBatchBytes}
+	return &BatchScanner{span: data, rest: -1, rdErr: io.EOF}
 }
 
-// fill appends one Read's worth of bytes to buf, remembering a read
-// error for later classification (bytes delivered alongside an error are
-// still consumed first).
-func (s *BatchScanner) fill(buf []byte) []byte {
-	if len(buf) == cap(buf) {
-		// The pending element outgrows the block: grow geometrically,
-		// bounded by the maxRecord cap enforced in decodeSpan.
-		grown := make([]byte, len(buf), 2*cap(buf))
-		copy(grown, buf)
-		buf = grown
-	}
-	n, err := s.r.Read(buf[len(buf):cap(buf)])
-	if err != nil {
-		s.rdErr = err
-	}
-	return buf[: len(buf)+n : cap(buf)]
-}
-
-// decodeSpan is the hot loop shared by both modes: it decodes every
-// complete record in buf[pos:] into b (up to maxBatchRecords),
-// advancing the scanner's offset/frame/shrink counters, and returns the
-// new consumed position. A corrupt header stages s.err — positioned at
-// the header's start, which is left unconsumed — and stops the sweep.
+// decodeSpan is the hot loop: it decodes every complete record in
+// buf[pos:] into b (up to maxBatchRecords), advancing the scanner's
+// offset and frame counters, and returns the new consumed position. A
+// corrupt header stages s.err — positioned at the header's start, which
+// is left unconsumed — and stops the sweep.
 func (s *BatchScanner) decodeSpan(b *RecordBatch, buf []byte, pos int, keep func([]byte) bool) int {
 	n := len(buf)
 	off := s.off
 	frame := s.frame
-	smallRun := s.smallRun
 	recs := b.Records
 	frames := b.Frames
 	for n-pos >= 24 && len(recs) < maxBatchRecords {
@@ -181,7 +187,7 @@ func (s *BatchScanner) decodeSpan(b *RecordBatch, buf []byte, pos int, keep func
 		orig := binary.BigEndian.Uint32(h)
 		incl := binary.BigEndian.Uint32(h[4:8])
 		if incl > maxRecord || incl > orig {
-			s.off, s.frame, s.smallRun = off, frame, smallRun
+			s.off, s.frame = off, frame
 			b.Records, b.Frames = recs, frames
 			s.err = fmt.Errorf("record header at offset %d: %w", off, framingError(orig, incl))
 			return pos
@@ -194,11 +200,6 @@ func (s *BatchScanner) decodeSpan(b *RecordBatch, buf []byte, pos int, keep func
 		pos = end
 		off += int64(24 + incl)
 		frame++
-		if int(incl) <= shrinkTo {
-			smallRun++
-		} else {
-			smallRun = 0
-		}
 		if keep != nil {
 			// Filtered scan: rejected payloads cost only the header sweep
 			// — no Record construction, no timestamp conversion.
@@ -215,17 +216,20 @@ func (s *BatchScanner) decodeSpan(b *RecordBatch, buf []byte, pos int, keep func
 			Data:            data,
 		})
 	}
-	s.off, s.frame, s.smallRun = off, frame, smallRun
+	s.off, s.frame = off, frame
 	b.Records, b.Frames = recs, frames
 	return pos
 }
 
 // classifyEnd converts "the stream is over with `left` undecodable bytes
-// buffered" into the terminal state: clean EOF at a boundary, mid-header
-// or mid-payload truncation with Offset advanced to the death byte, or
-// the underlying transport error.
+// buffered" into the terminal state: clean EOF at a boundary, a short
+// file header, mid-header or mid-payload truncation with Offset advanced
+// to the death byte, or the underlying transport error.
 func (s *BatchScanner) classifyEnd(left int) {
 	switch {
+	case !s.started:
+		s.off += int64(left)
+		s.err = fmt.Errorf("%w: file header: %w", ErrTruncated, eofUnexpected(s.rdErr))
 	case left == 0:
 		if s.rdErr == io.EOF {
 			// Zero bytes at a record boundary: the clean end of a log.
@@ -248,10 +252,10 @@ func (s *BatchScanner) classifyEnd(left int) {
 	}
 }
 
-// ScanBatch advances to the next batch of records, reusing b's buffer
-// and Records slice. It returns false at end of stream or on error; Err
-// distinguishes the two. After false, Offset reports where the stream
-// ended or died.
+// ScanBatch advances to the next batch of records, releasing b and
+// reusing its Records slice. It returns false at end of stream or on
+// error; Err distinguishes the two. After false, Offset reports where
+// the stream ended or died.
 func (s *BatchScanner) ScanBatch(b *RecordBatch) bool {
 	return s.scanBatch(b, nil)
 }
@@ -264,7 +268,7 @@ func (s *BatchScanner) ScanBatch(b *RecordBatch) bool {
 // identical to an unfiltered scan over the same stream; kept records'
 // absolute frame numbers land in b.Frames since a filtered batch is no
 // longer contiguous. keep must not retain the payload slice — it
-// aliases the scan buffer.
+// aliases the block.
 //
 // Liveness: a call that sweeps complete records returns true even when
 // keep rejected every one of them — the batch is empty but Offset and
@@ -276,116 +280,158 @@ func (s *BatchScanner) ScanBatchKeep(b *RecordBatch, keep func(payload []byte) b
 }
 
 func (s *BatchScanner) scanBatch(b *RecordBatch, keep func([]byte) bool) bool {
+	b.Release()
 	b.Records = b.Records[:0]
 	b.Frames = b.Frames[:0]
 	b.First = s.frame + 1
 	if s.err != nil {
 		return false
 	}
-	if s.all != nil {
-		return s.scanBytes(b, keep)
-	}
-	// Shrink valve (see shrinkAfter).
-	if s.smallRun >= shrinkAfter && cap(b.buf) > 2*s.batchBytes {
-		b.buf = nil
-		s.smallRun = 0
-	}
-	if cap(b.buf) < s.batchBytes {
-		b.buf = make([]byte, 0, s.batchBytes)
-	}
-	buf := append(b.buf[:0], s.tail...)
-	s.tail = s.tail[:0]
-	pos := 0
-
-	if !s.started {
-		for len(buf) < 16 && s.rdErr == nil {
-			buf = s.fill(buf)
-		}
-		if len(buf) < 16 {
-			s.off += int64(len(buf))
-			s.err = fmt.Errorf("%w: file header: %w", ErrTruncated, eofUnexpected(s.rdErr))
-			b.buf = buf
-			return false
-		}
-		dl, err := parseFileHeader((*[16]byte)(buf[:16]))
-		s.off += 16
-		if err != nil {
-			s.err = err
-			b.buf = buf
-			return false
-		}
-		s.datalink = dl
-		s.started = true
-		pos = 16
-	}
-
 	frameStart := s.frame
 	for {
-		pos = s.decodeSpan(b, buf, pos, keep)
-		if s.err != nil {
-			// Corrupt header: records decoded before it are still
-			// delivered; the staged error surfaces on the next call.
-			b.buf = buf
-			return len(b.Records) > 0
+		if s.rest >= 0 && s.pos == len(s.span) {
+			// The joined record is consumed; go on in the block it ended in.
+			s.span, s.pos, s.rest = s.cur.buf[:s.cur.start+s.cur.n], s.rest, -1
 		}
-
-		if len(b.Records) > 0 || (keep != nil && s.frame > frameStart) {
-			// Hand the batch out — possibly empty under keep, if the
-			// sweep advanced past rejected records only; the partial
-			// element (if any) carries over to the next batch's buffer.
-			s.tail = append(s.tail[:0], buf[pos:]...)
-			b.buf = buf
-			return true
-		}
-
-		if s.rdErr == nil {
-			// No complete record buffered and bytes may still come:
-			// compact the partial element to the front and read more.
-			if pos > 0 {
-				n := copy(buf, buf[pos:])
-				buf = buf[:n]
-				pos = 0
+		if s.started || s.header() {
+			s.pos = s.decodeSpan(b, s.span, s.pos, keep)
+			if len(b.Records) > 0 && s.cur != nil {
+				s.cur.refs.Add(1)
+				b.blk = s.cur
 			}
-			buf = s.fill(buf)
-			continue
+			if s.err != nil {
+				// Corrupt header: records decoded before it are still
+				// delivered; the staged error surfaces on the next call.
+				s.drop()
+				return len(b.Records) > 0
+			}
+			if len(b.Records) > 0 || (keep != nil && s.frame > frameStart) {
+				// Hand the batch out — possibly empty under keep, if the
+				// sweep advanced past rejected records only; the partial
+				// element (if any) stays in the span for the next call.
+				return true
+			}
+		} else if s.err != nil {
+			s.drop()
+			return false
 		}
-
-		b.buf = buf
-		s.classifyEnd(len(buf) - pos)
-		return false
+		if s.rest >= 0 {
+			continue // a joined element was consumed without a batch to hand out
+		}
+		if s.rdErr != nil {
+			s.classifyEnd(len(s.span) - s.pos)
+			s.drop()
+			return false
+		}
+		s.next()
 	}
 }
 
-// scanBytes is the zero-copy in-memory mode: records are decoded
-// directly over the input slice, one maxBatchRecords-sized batch per
-// call, with no buffer fills or tail carries.
-func (s *BatchScanner) scanBytes(b *RecordBatch, keep func([]byte) bool) bool {
-	if !s.started {
-		if len(s.all) < 16 {
-			s.off = int64(len(s.all))
-			s.err = fmt.Errorf("%w: file header: %w", ErrTruncated, io.ErrUnexpectedEOF)
-			return false
+// header consumes the 16-byte file header once the span holds it.
+func (s *BatchScanner) header() bool {
+	if len(s.span)-s.pos < 16 {
+		return false
+	}
+	dl, err := parseFileHeader((*[16]byte)(s.span[s.pos : s.pos+16]))
+	s.off += 16
+	if err != nil {
+		s.err = err
+		return false
+	}
+	s.datalink = dl
+	s.started = true
+	s.pos += 16
+	return true
+}
+
+// next moves the scan to the source's next block. The partial element
+// left in the span is copied into the block's headroom and decoded
+// there; one longer than the headroom is collected into a joined buffer
+// from as many blocks as the element spans, each block released as it
+// is used up.
+func (s *BatchScanner) next() {
+	tail := s.span[s.pos:]
+	blk := s.fetch()
+	if blk == nil {
+		return // the span keeps the tail for classifyEnd
+	}
+	if len(tail) <= blk.start {
+		at := blk.start - len(tail)
+		copy(blk.buf[at:], tail)
+		s.hold(blk)
+		s.span, s.pos = blk.buf[:blk.start+blk.n], at
+		return
+	}
+	joined := append(make([]byte, 0, s.elementLen(tail)), tail...)
+	s.hold(nil)
+	used := 0
+	for {
+		want := s.elementLen(joined)
+		if len(joined) < want && used < blk.n {
+			take := min(want-len(joined), blk.n-used)
+			joined = append(joined, blk.buf[blk.start+used:blk.start+used+take]...)
+			used += take
+			continue
 		}
-		dl, err := parseFileHeader((*[16]byte)(s.all[:16]))
-		s.off = 16
-		if err != nil {
-			s.err = err
-			return false
+		s.span, s.pos = joined, 0
+		if len(joined) == want {
+			s.cur, s.rest = blk, blk.start+used
+			return
 		}
-		s.datalink = dl
-		s.started = true
-		s.pos = 16
+		blk.release()
+		if s.rdErr != nil {
+			return // the stream ended inside the element
+		}
+		if blk = s.fetch(); blk == nil {
+			return
+		}
+		used = 0
 	}
-	frameStart := s.frame
-	s.pos = s.decodeSpan(b, s.all, s.pos, keep)
-	if s.err != nil {
-		return len(b.Records) > 0
+}
+
+// elementLen is the length of the element partial bytes p start: the
+// file header, a record header until it is complete, then the whole
+// record. A corrupt record header is complete on its own, for
+// decodeSpan to reject.
+func (s *BatchScanner) elementLen(p []byte) int {
+	switch {
+	case !s.started:
+		return 16
+	case len(p) < 24:
+		return 24
 	}
-	if len(b.Records) > 0 || (keep != nil && s.frame > frameStart) {
-		return true
+	orig, incl := binary.BigEndian.Uint32(p), binary.BigEndian.Uint32(p[4:8])
+	if incl > maxRecord || incl > orig {
+		return 24
 	}
-	s.classifyEnd(len(s.all) - s.pos)
-	return false
+	return 24 + int(incl)
+}
+
+// fetch takes the source's next block, latching its read error.
+func (s *BatchScanner) fetch() *Block {
+	blk := s.src.Next()
+	if blk == nil {
+		s.rdErr = errSourceClosed
+		return nil
+	}
+	if blk.err != nil {
+		s.rdErr = blk.err
+	}
+	return blk
+}
+
+// hold makes blk the current block, releasing the previous one.
+func (s *BatchScanner) hold(blk *Block) {
+	if s.cur != nil {
+		s.cur.release()
+	}
+	s.cur = blk
+}
+
+// drop releases the current block at the end of the scan.
+func (s *BatchScanner) drop() {
+	s.hold(nil)
+	s.span, s.pos, s.rest = nil, 0, -1
 }
 
 // Err returns the first error encountered, or nil if the stream ended

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/iotest"
+	"time"
 )
 
 // errClass buckets a scanner-terminal error the way callers triage them;
@@ -194,12 +195,15 @@ func TestBatchScannerBadFraming(t *testing.T) {
 }
 
 // TestBatchScannerGiantRecordAndShrink: a record larger than the block
-// size must still decode (the batch buffer grows), and a long run of
-// small records afterwards must release the high-water allocation.
+// size must still decode (joined from every block it spans, in a buffer
+// sized to the record), and a long run of small records afterwards must
+// decode in place in pool blocks, so the high-water allocation is not
+// kept.
 func TestBatchScannerGiantRecordAndShrink(t *testing.T) {
 	const giant = 300 << 10 // > defaultBatchBytes
+	const small = 72
 	recs := []Record{{Flags: FlagCommandEvent, Timestamp: CaptureBase, Data: make([]byte, giant)}}
-	for i := 0; i < shrinkAfter+8; i++ {
+	for i := 0; i < small; i++ {
 		recs = append(recs, Record{Flags: FlagCommandEvent, Timestamp: CaptureBase, Data: []byte{0x01, 0x03, 0x0c, 0x00}})
 	}
 	data := serializeRecords(t, fixLengths(recs))
@@ -214,11 +218,10 @@ func TestBatchScannerGiantRecordAndShrink(t *testing.T) {
 		slab Slab
 		got  []Record
 	)
-	peak := 0
+	peak, last := 0, 0
 	for bs.ScanBatch(&b) {
-		if cap(b.buf) > peak {
-			peak = cap(b.buf)
-		}
+		peak = max(peak, cap(bs.span))
+		last = cap(bs.span)
 		for _, rec := range b.Records {
 			got = append(got, rec.CloneInto(&slab))
 		}
@@ -228,11 +231,10 @@ func TestBatchScannerGiantRecordAndShrink(t *testing.T) {
 	}
 	recordsEqual(t, "giant", got, want)
 	if peak < giant {
-		t.Fatalf("batch buffer peaked at %d, the giant record needed %d", peak, giant)
+		t.Fatalf("scan span peaked at %d, the giant record needed %d", peak, giant)
 	}
-	if cap(b.buf) > 2*defaultBatchBytes {
-		t.Fatalf("batch buffer still holds %d bytes after %d small records",
-			cap(b.buf), shrinkAfter+8)
+	if last > BlockHeadroom+defaultBatchBytes {
+		t.Fatalf("scan span still holds %d bytes after %d small records", last, small)
 	}
 }
 
@@ -474,5 +476,48 @@ func TestScanBatchKeepRejectAll(t *testing.T) {
 		if sc.Offset() != int64(len(data)) || sc.Frame() != stats.Records {
 			t.Fatalf("%s: offset=%d frame=%d, want %d/%d", mode, sc.Offset(), sc.Frame(), len(data), stats.Records)
 		}
+	}
+}
+
+// TestBlockPoolBound pins the read-ahead bound of a bounded pool: it
+// allocates at most depth blocks, lazily; Get waits while every block is
+// out and takes the first one released; Close wakes a waiting Get with
+// nil.
+func TestBlockPoolBound(t *testing.T) {
+	const depth = 3
+	p := NewBlockPool(depth, 4<<10)
+	var out []*Block
+	for i := 0; i < depth; i++ {
+		b := p.Get()
+		if len(b.buf) != BlockHeadroom+4<<10 || b.start != BlockHeadroom {
+			t.Fatalf("block %d: %d bytes with the read area at %d", i, len(b.buf), b.start)
+		}
+		out = append(out, b)
+	}
+	got := make(chan *Block)
+	go func() { got <- p.Get() }()
+	select {
+	case b := <-got:
+		t.Fatalf("Get returned %p with all %d blocks out", b, depth)
+	case <-time.After(20 * time.Millisecond):
+	}
+	out[1].refs.Add(1) // a batch holds it too
+	out[1].release()
+	select {
+	case b := <-got:
+		t.Fatalf("Get returned %p while a batch still held the block", b)
+	case <-time.After(20 * time.Millisecond):
+	}
+	out[1].release()
+	if b := <-got; b != out[1] || b.refs.Load() != 1 {
+		t.Fatalf("Get returned %p (refs %d), want the released block %p with one reference", b, b.refs.Load(), out[1])
+	}
+	if p.made != depth {
+		t.Fatalf("pool allocated %d blocks, want %d", p.made, depth)
+	}
+	go func() { got <- p.Get() }()
+	p.Close()
+	if b := <-got; b != nil {
+		t.Fatalf("Get after Close returned %p", b)
 	}
 }

@@ -1,15 +1,15 @@
 // Package spsc provides a bounded single-producer single-consumer ring:
-// the handoff primitive between the sentinel's per-stream reader
-// goroutine (which owns the socket and the batch scanner) and its
-// detector goroutine (which owns the session state and the event
-// stream). Exactly one goroutine may push and exactly one may pop; the
-// ring enforces nothing and corrupts silently if that contract is
-// broken, which is why it lives behind the sentinel rather than in a
-// general toolbox.
+// the handoff primitive between a sentinel stream's goroutines — its
+// transport (which owns the socket and fills read blocks), its scanner
+// (which owns the batch scanner) and its detector (which owns the
+// session state and the event stream). Exactly one goroutine may push
+// and exactly one may pop; the ring enforces nothing and corrupts
+// silently if that contract is broken, which is why it lives behind the
+// sentinel rather than in a general toolbox.
 //
 // That contract is also why the ring stops at the stream boundary in
-// the sentinel's sharded fan-in: within one stream the reader→detector
-// handoff is genuinely single-producer single-consumer, so batches ride
+// the sentinel's sharded fan-in: within one stream each handoff is
+// genuinely single-producer single-consumer, so blocks and batches ride
 // rings; but an event shard aggregates events from every stream pinned
 // to it — many producers, one shard writer — so the shard queues are
 // bounded channels (MPSC), not rings. Use this package only where both

@@ -44,7 +44,10 @@ go test -run xxx -bench BenchmarkLiveReduceDense -benchtime 1x ./internal/forens
 # detector's in-place record decoder against the typed hci parsers, on
 # the checkpoint codec (any accepted input must be canonical), on the
 # JSON string escaper against encoding/json, and on the stored finding
-# record decoder (any accepted input must re-encode to itself).
+# record decoder (any accepted input must re-encode to itself); and on
+# the btsnoop scanner against its reference decoder, over plain readers
+# and over arbitrary block splits, joined records and resumed scans.
+go test -run '^$' -fuzz '^FuzzScanner$' -fuzztime 5s ./internal/snoop
 go test -run '^$' -fuzz '^FuzzSessionHandshake$' -fuzztime 5s ./internal/sentinel
 go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 5s ./internal/sentinel
 go test -run '^$' -fuzz '^FuzzDecodeKept$' -fuzztime 5s ./internal/forensics
@@ -249,14 +252,15 @@ grep '"type":"stream-end"' "$res_dir/slot.jsonl" | grep '"status":"clean"' | gre
 rm -rf "$res_dir"
 
 # Transport-chaos differential, full sweep over a small capture: cut
-# the session at every one of its byte offsets, resume, and require
-# findings byte-identical to the uninterrupted baseline. (The larger
-# stride-sampled version runs in go test; this exercises the benchtables
-# -chaos entry point end to end.)
-go run ./cmd/benchtables -chaos -chaosrecords 40
+# the session at every one of the 40-record capture's byte offsets,
+# resume, and require findings byte-identical to the uninterrupted
+# baseline. (go test ./... above runs it too; -count 1 reruns it here
+# whatever the test cache holds.)
+go test -count 1 -run '^TestResumeDifferentialEveryOffset$' ./internal/sentinel
 
 # Store smoke: the embedded tsdb must be deterministic — appending 1M
-# findings on a fixed timeline, retention-compacting with a fixed clock,
+# findings on a fixed timeline, as the daemon stores them (48-byte
+# records, one AppendBatch per burst), retention-compacting with a fixed clock,
 # and querying back must print identical counts and digests (covering
 # every byte in the store directory) across two fresh runs.
 tsdb_dir=$(mktemp -d)
