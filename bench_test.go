@@ -32,7 +32,7 @@ import (
 func BenchmarkTableI(b *testing.B) {
 	var vulnerable, verified int
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunTableI(int64(i + 1))
+		rows, err := eval.RunTableIWorkers(int64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkTableI(b *testing.B) {
 func BenchmarkTableII(b *testing.B) {
 	var basePct, blockPct float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunTableII(int64(i+1), 25)
+		rows, err := eval.RunTableIIWorkers(int64(i+1), 25, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func BenchmarkImpersonation(b *testing.B) {
 func BenchmarkAblationJitter(b *testing.B) {
 	var degenerate, raced float64
 	for i := 0; i < b.N; i++ {
-		rows := eval.RunJitterAblation(int64(i+1), 12, []time.Duration{0, 30 * time.Millisecond})
+		rows := eval.RunJitterAblationWorkers(int64(i+1), 12, []time.Duration{0, 30 * time.Millisecond}, 0)
 		degenerate, raced = rows[0].Pct(), rows[1].Pct()
 	}
 	b.ReportMetric(degenerate, "zero_jitter_success_pct")
@@ -261,7 +261,7 @@ func BenchmarkAblationJitter(b *testing.B) {
 func BenchmarkAblationPLOCWindow(b *testing.B) {
 	var inWindow, outWindow, keptAlive float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunPLOCWindowAblation(int64(i+1), []time.Duration{5 * time.Second, 30 * time.Second})
+		rows, err := eval.RunPLOCWindowAblationWorkers(int64(i+1), []time.Duration{5 * time.Second, 30 * time.Second}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func pct(ok bool) float64 {
 func BenchmarkAblationLMPTimeout(b *testing.B) {
 	var ok float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunLMPTimeoutAblation(int64(i+1), []time.Duration{time.Second, 30 * time.Second})
+		rows, err := eval.RunLMPTimeoutAblationWorkers(int64(i+1), []time.Duration{time.Second, 30 * time.Second}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -681,7 +681,7 @@ func BenchmarkE0Keystream(b *testing.B) {
 func BenchmarkMitigationMatrix(b *testing.B) {
 	worked := 0
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunMitigationMatrix(int64(i + 1))
+		rows, err := eval.RunMitigationMatrixWorkers(int64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,10 +11,9 @@
 //	btsim -scenario stealtooth -o captures/
 //	btsim -scenario passkey-sniff -repeat 100
 //
-// The scenario registry (scenarios.go) spans the paper's own attacks and
-// the related-attack library: pair, bond-reconnect, extraction,
-// flaky-extraction, pageblock, stealtooth, happy-mitm, blurtooth,
-// oob-mitm, passkey-sniff, passkey-guard.
+// The scenarios come from internal/scenario, plus flaky-extraction:
+// extraction over a canned fault plan. -help and an unknown -scenario
+// list them all.
 //
 // The -faults flag degrades the simulated medium with a deterministic
 // fault plan (see internal/faults: drop, corrupt, dup, reorder, burst,
@@ -29,17 +28,30 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faults"
+	"repro/internal/scenario"
 )
+
+// flakyExtraction runs extraction over flakyPlan unless -faults names
+// another plan. The attack rides the canned plan out via ARQ, paging
+// retries and backoff.
+const flakyExtraction = "flaky-extraction"
+
+var flakyPlan = faults.Plan{
+	Drop:    0.05,
+	Burst:   &faults.Burst{PEnter: 0.02, PExit: 0.25, BadLoss: 0.6},
+	Outages: []faults.Outage{{Device: "C", Start: 2 * time.Second, Duration: 3 * time.Second}},
+}
 
 func main() {
 	var (
-		scenario = flag.String("scenario", "pair", "scenario: "+scenarioNames())
+		name     = flag.String("scenario", "pair", "scenario: "+scenarioNames())
 		out      = flag.String("o", ".", "output directory for capture files")
 		seed     = flag.Int64("seed", 1, "random seed")
 		faultStr = flag.String("faults", "", "deterministic fault plan, e.g. 'drop=0.05,burst=0.02:0.25:0.6,outage=C@2s+500ms'")
@@ -48,9 +60,13 @@ func main() {
 	)
 	flag.Parse()
 
-	def := findScenario(*scenario)
-	if def == nil {
-		fmt.Fprintf(os.Stderr, "btsim: unknown scenario %q (valid: %s)\n", *scenario, scenarioNames())
+	run := *name
+	if run == flakyExtraction {
+		run = "extraction"
+	}
+	e, ok := scenario.Lookup(run)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "btsim: unknown scenario %q (valid: %s)\n", *name, scenarioNames())
 		os.Exit(2)
 	}
 
@@ -58,18 +74,15 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if def.aliasFor != "" {
-		// A canned alias (flaky-extraction): substitute its fault plan
-		// unless the user supplied one, then run the underlying scenario.
+	if *name == flakyExtraction {
 		if *faultStr == "" {
-			plan = def.defaultPlan()
+			plan = flakyPlan
 		}
 		fmt.Printf("fault plan: %s\n", plan)
-		def = findScenario(def.aliasFor)
 	}
 
 	if *repeat > 1 {
-		if err := runRepeated(def, plan, *seed, *repeat, *workers); err != nil {
+		if err := runRepeated(e, plan, *seed, *repeat, *workers); err != nil {
 			fail(err)
 		}
 		return
@@ -79,40 +92,48 @@ func main() {
 		fail(err)
 	}
 
-	tb, err := core.NewTestbed(*seed, def.options(plan))
+	tb, err := core.NewTestbed(*seed, e.Options(plan))
 	if err != nil {
 		fail(err)
 	}
-	if err := def.run(tb); err != nil {
+	res, err := e.Run(tb)
+	if err != nil {
 		fail(err)
 	}
+	fmt.Println(res.Line)
 
-	for name, d := range map[string]*device.Device{"M": tb.M, "C": tb.C, "A": tb.A} {
-		if d.Snoop == nil || d.Snoop.Len() == 0 {
+	// Files are written in one fixed order, M, C, A, so the output is
+	// the same on every run.
+	roles := []struct {
+		name string
+		d    *device.Device
+	}{{"M", tb.M}, {"C", tb.C}, {"A", tb.A}}
+	for _, r := range roles {
+		if r.d.Snoop == nil || r.d.Snoop.Len() == 0 {
 			continue
 		}
-		data, err := d.PullSnoopLog()
+		data, err := r.d.PullSnoopLog()
 		if err != nil {
 			fail(err)
 		}
-		path := filepath.Join(*out, fmt.Sprintf("%s_%s.btsnoop", *scenario, name))
+		path := filepath.Join(*out, fmt.Sprintf("%s_%s.btsnoop", *name, r.name))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %s (%d records, %d bytes)\n", path, d.Snoop.Len(), len(data))
+		fmt.Printf("wrote %s (%d records, %d bytes)\n", path, r.d.Snoop.Len(), len(data))
 	}
-	for name, d := range map[string]*device.Device{"M": tb.M, "C": tb.C, "A": tb.A} {
-		if d.Host.Bonds().Len() == 0 {
+	for _, r := range roles {
+		if r.d.Host.Bonds().Len() == 0 {
 			continue
 		}
-		path := filepath.Join(*out, fmt.Sprintf("%s_%s_bt_config.conf", *scenario, name))
-		if err := d.Host.Bonds().SaveConfigFile(path); err != nil {
+		path := filepath.Join(*out, fmt.Sprintf("%s_%s_bt_config.conf", *name, r.name))
+		if err := r.d.Host.Bonds().SaveConfigFile(path); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %s (%d bonds)\n", path, d.Host.Bonds().Len())
+		fmt.Printf("wrote %s (%d bonds)\n", path, r.d.Host.Bonds().Len())
 	}
 	if tb.C.USB != nil && len(tb.C.USB.Raw()) > 0 {
-		path := filepath.Join(*out, fmt.Sprintf("%s_C.usbraw", *scenario))
+		path := filepath.Join(*out, fmt.Sprintf("%s_C.usbraw", *name))
 		if err := os.WriteFile(path, tb.C.USB.Raw(), 0o644); err != nil {
 			fail(err)
 		}
@@ -124,21 +145,25 @@ func main() {
 // hermetic testbed per trial seeded from the trial index, channel
 // faults retried like the degraded-channel sweeps, and the engine's
 // progress telemetry (trials/sec, retry count, ETA) reported live on
-// stderr — the operator's view into a long sweep that single-run btsim
-// never had. Capture files are not written; the output is the outcome
+// stderr. Capture files are not written; the output is the outcome
 // tally.
-func runRepeated(def *scenarioDef, plan faults.Plan, seed int64, n, workers int) error {
-	if def.trial == nil {
-		return fmt.Errorf("-repeat does not support scenario %q", def.name)
-	}
-	domain := "btsim/" + def.name
-	world := func(a campaign.Attempt, opts core.TestbedOptions) (*core.Testbed, error) {
+func runRepeated(e scenario.Entry, plan faults.Plan, seed int64, n, workers int) error {
+	domain := "btsim/" + e.Name
+	trial := func(_ context.Context, a campaign.Attempt) (bool, error) {
 		// Each trial derives its world from (seed, scenario, trial,
 		// attempt) so the sweep is bit-identical at any worker count.
 		s := campaign.DeriveSeed(seed, campaign.AttemptDomain(domain, a.Attempt), a.Trial)
-		return core.NewTestbed(s, opts)
+		tb, err := core.NewTestbed(s, e.Options(plan))
+		if err != nil {
+			return false, err
+		}
+		out, err := e.Run(tb)
+		if core.IsChannelFault(err) {
+			return false, err // retryable
+		}
+		// Any other error is a failed trial, not a failed campaign.
+		return err == nil && out.OK, nil
 	}
-	trial := def.trial(world, plan)
 
 	p := &campaign.Progress{}
 	stop := p.Report(os.Stderr, 500*time.Millisecond)
@@ -158,10 +183,23 @@ func runRepeated(def *scenarioDef, plan faults.Plan, seed int64, n, workers int)
 	}
 	s := p.Snapshot()
 	fmt.Printf("%s x %d: %d/%d succeeded, %.2f mean attempts, %.1f trials/s, trial p50 %s p99 %s\n",
-		def.name, n, ok, n, float64(attempts)/float64(n), s.TrialsPerSec,
+		e.Name, n, ok, n, float64(attempts)/float64(n), s.TrialsPerSec,
 		time.Duration(s.Latency.P50US*1e3).Round(time.Microsecond),
 		time.Duration(s.Latency.P99US*1e3).Round(time.Microsecond))
 	return nil
+}
+
+// scenarioNames lists the registry in order, with flaky-extraction after
+// the scenario it runs.
+func scenarioNames() string {
+	var names []string
+	for _, n := range scenario.Names() {
+		names = append(names, n)
+		if n == "extraction" {
+			names = append(names, flakyExtraction)
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 func fail(err error) {

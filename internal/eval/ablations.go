@@ -41,15 +41,10 @@ type jitterOutcome struct {
 	failed bool
 }
 
-// RunJitterAblation sweeps the page-response jitter spread. With zero
-// spread the race collapses to a deterministic tie-break; any positive
-// spread restores the ~50% race the paper measured at 42-60%.
-func RunJitterAblation(seed int64, trials int, spreads []time.Duration) []JitterAblationRow {
-	return RunJitterAblationWorkers(seed, trials, spreads, 0)
-}
-
-// RunJitterAblationWorkers is RunJitterAblation with an explicit campaign
-// worker count. The spreads × trials grid runs as one flat campaign.
+// RunJitterAblationWorkers sweeps the page-response jitter spread. With
+// zero spread the race collapses to a deterministic tie-break; any
+// positive spread restores the ~50% race the paper measured at 42-60%.
+// The spreads × trials grid runs as one flat campaign.
 func RunJitterAblationWorkers(seed int64, trials int, spreads []time.Duration, workers int) []JitterAblationRow {
 	n := len(spreads) * trials
 	// Testbed construction errors are folded into the outcome (counted
@@ -101,22 +96,17 @@ type PLOCWindowRow struct {
 	Success       bool
 }
 
-// RunPLOCWindowAblation sweeps the delay between PLOC establishment and
-// the victim's pairing intent, with the victim's controller enforcing a
-// 20 s link supervision timeout. Without keep-alive traffic the held link
-// dies once the supervision window passes and the attack degenerates to
-// the ~50% page race (the attacker is still page-scanning with the
-// spoofed address); with dummy-data keep-alive (the paper's SDP-ping
-// suggestion) the deterministic window extends indefinitely.
+// RunPLOCWindowAblationWorkers sweeps the delay between PLOC
+// establishment and the victim's pairing intent, with the victim's
+// controller enforcing a 20 s link supervision timeout. Without
+// keep-alive traffic the held link dies once the supervision window
+// passes and the attack degenerates to the ~50% page race (the attacker
+// is still page-scanning with the spoofed address); with dummy-data
+// keep-alive (the paper's SDP-ping suggestion) the deterministic window
+// extends indefinitely.
 //
 // A testbed construction failure is propagated (it used to be swallowed,
 // silently dropping rows and shifting the callers' row indices).
-func RunPLOCWindowAblation(seed int64, delays []time.Duration) ([]PLOCWindowRow, error) {
-	return RunPLOCWindowAblationWorkers(seed, delays, 0)
-}
-
-// RunPLOCWindowAblationWorkers is RunPLOCWindowAblation with an explicit
-// campaign worker count.
 func RunPLOCWindowAblationWorkers(seed int64, delays []time.Duration, workers int) ([]PLOCWindowRow, error) {
 	const supervision = 20 * time.Second
 	n := 2 * len(delays) // keep-alive off, then on — the serial row order
@@ -253,15 +243,9 @@ type LMPTimeoutRow struct {
 	Reason  hci.Status
 }
 
-// RunLMPTimeoutAblation sweeps the client controller's LMP response
-// timeout: the extraction always works, and the attack duration tracks
-// the timeout (the stalled challenge is the only long pole).
-func RunLMPTimeoutAblation(seed int64, timeouts []time.Duration) ([]LMPTimeoutRow, error) {
-	return RunLMPTimeoutAblationWorkers(seed, timeouts, 0)
-}
-
-// RunLMPTimeoutAblationWorkers is RunLMPTimeoutAblation with an explicit
-// campaign worker count.
+// RunLMPTimeoutAblationWorkers sweeps the client controller's LMP
+// response timeout: the extraction always works, and the attack duration
+// tracks the timeout (the stalled challenge is the only long pole).
 func RunLMPTimeoutAblationWorkers(seed int64, timeouts []time.Duration, workers int) ([]LMPTimeoutRow, error) {
 	return campaign.Run(context.Background(), len(timeouts), sweepCfg(workers),
 		func(_ context.Context, i int) (LMPTimeoutRow, error) {

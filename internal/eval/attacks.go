@@ -7,9 +7,8 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/faults"
-	"repro/internal/forensics"
+	"repro/internal/scenario"
 )
 
 // The cross-attack evaluation matrix: every scenario in the
@@ -20,10 +19,6 @@ import (
 // detector to measure whether and how early the attack's forensic rule
 // fires. Rows are pure functions of (seed, attack, channel, trial), so
 // the matrix is bit-identical at any worker count.
-
-// attackPasskey is the fixed printed-label value the passkey scenarios
-// use (matching cmd/btsim).
-const attackPasskey uint32 = 428571
 
 // AttackRow is one (attack, channel) cell of the matrix.
 type AttackRow struct {
@@ -48,114 +43,9 @@ type AttackRow struct {
 	MeanDetectFraction float64
 }
 
-// attackSpec is one library entry: how to build its world, run it, and
-// which victim capture carries its trace.
-type attackSpec struct {
-	name         string
-	detectorKind string // "" = no rule exists
-	options      func(plan faults.Plan) core.TestbedOptions
-	// run executes the attack and returns (succeeded, victim device).
-	run func(tb *core.Testbed) (bool, *device.Device)
-}
-
-func attackSpecs() []attackSpec {
-	return []attackSpec{
-		{
-			name:         "stealtooth",
-			detectorKind: forensics.FindingSilentRepairing,
-			options: func(plan faults.Plan) core.TestbedOptions {
-				// The accessory is the victim; it must carry a snoop channel.
-				return core.TestbedOptions{ClientPlatform: device.AndroidAutomotive, Bond: true, Faults: plan}
-			},
-			run: func(tb *core.Testbed) (bool, *device.Device) {
-				rep := core.RunStealtooth(tb.Sched, core.StealtoothConfig{
-					Attacker: tb.A, Client: tb.C,
-					VictimAddr: tb.M.Addr(), VictimCOD: tb.M.Platform.COD,
-					OriginalKey: tb.BondKey,
-				})
-				return rep.RePaired && rep.KeyChanged, tb.C
-			},
-		},
-		{
-			name:         "happy-mitm",
-			detectorKind: forensics.FindingSilentKeyChange,
-			options: func(plan faults.Plan) core.TestbedOptions {
-				return core.TestbedOptions{
-					ClientPlatform: device.GalaxyS21Android11, Bond: true,
-					VictimSilentBondedRepair: true, Faults: plan,
-				}
-			},
-			run: func(tb *core.Testbed) (bool, *device.Device) {
-				rep := core.RunHappyMitM(tb.Sched, core.HappyMitMConfig{
-					Attacker: tb.A, Client: tb.C, Victim: tb.M, VictimUser: tb.MUser,
-					OriginalKey: tb.BondKey,
-				})
-				return rep.KeyReplaced, tb.M
-			},
-		},
-		{
-			name:         "blurtooth",
-			detectorKind: forensics.FindingKeyTypeDowngrade,
-			options: func(plan faults.Plan) core.TestbedOptions {
-				return core.TestbedOptions{
-					ClientPlatform: device.GalaxyS21Android11,
-					VictimCTKD:     true, VictimSilentBondedRepair: true, Faults: plan,
-				}
-			},
-			run: func(tb *core.Testbed) (bool, *device.Device) {
-				rep := core.RunBLURtooth(tb.Sched, core.BLURtoothConfig{
-					Attacker: tb.A, Client: tb.C, Victim: tb.M, VictimUser: tb.MUser,
-				})
-				return rep.Downgraded, tb.M
-			},
-		},
-		{
-			name:         "oob-mitm",
-			detectorKind: "", // wire-identical to a genuine OOB pairing
-			options: func(plan faults.Plan) core.TestbedOptions {
-				return core.TestbedOptions{Faults: plan}
-			},
-			run: func(tb *core.Testbed) (bool, *device.Device) {
-				rep := core.RunOOBMITM(tb.Sched, core.OOBMITMConfig{
-					Attacker: tb.A, Client: tb.C, Victim: tb.M,
-				})
-				return rep.MITMEstablished, tb.M
-			},
-		},
-		{
-			name:         "passkey-sniff",
-			detectorKind: forensics.FindingSilentKeyChange,
-			options: func(plan faults.Plan) core.TestbedOptions {
-				printed := attackPasskey
-				return core.TestbedOptions{ClientFixedPasskey: &printed, Faults: plan}
-			},
-			run: runPasskeyAttack,
-		},
-		{
-			// The mitigation control: same sniff against the enhanced
-			// protocol. The attack never completes, so there is no trace to
-			// detect — Succeeded must stay 0.
-			name:         "passkey-guard",
-			detectorKind: "",
-			options: func(plan faults.Plan) core.TestbedOptions {
-				printed := attackPasskey
-				return core.TestbedOptions{ClientFixedPasskey: &printed, EnhancedPasskey: true, Faults: plan}
-			},
-			run: runPasskeyAttack,
-		},
-	}
-}
-
-func runPasskeyAttack(tb *core.Testbed) (bool, *device.Device) {
-	sniffer := core.NewAirSniffer(tb.Medium)
-	printed := attackPasskey
-	tb.MUser.TypedPasskey = &printed
-	rep := core.RunPasskeySniff(tb.Sched, core.PasskeySniffConfig{
-		Attacker: tb.A, Client: tb.C, Victim: tb.M, VictimUser: tb.MUser,
-		Sniffer: sniffer, PrintedPasskey: printed,
-	})
-	return rep.Impersonated, tb.M
-}
+// attackNames are the matrix's rows, in order: the related-attack
+// library and its mitigation control, run from the scenario registry.
+var attackNames = []string{"stealtooth", "happy-mitm", "blurtooth", "oob-mitm", "passkey-sniff", "passkey-guard"}
 
 // attackChannels are the matrix's channel conditions.
 func attackChannels() []DegradedSetting {
@@ -175,26 +65,29 @@ type attackSample struct {
 // RunAttackMatrixWorkers measures every library attack under every
 // channel condition with `trials` hermetic worlds per cell.
 func RunAttackMatrixWorkers(seed int64, trials, workers int) ([]AttackRow, error) {
-	specs := attackSpecs()
 	channels := attackChannels()
-	rows := make([]AttackRow, 0, len(specs)*len(channels))
+	rows := make([]AttackRow, 0, len(attackNames)*len(channels))
 	cfg := sweepCfg(workers)
 
-	for _, spec := range specs {
+	for _, name := range attackNames {
+		spec, ok := scenario.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("eval: attack matrix: no scenario %q", name)
+		}
 		for _, ch := range channels {
-			spec, ch := spec, ch
+			ch := ch
 			row := AttackRow{
-				Attack: spec.name, Channel: ch.Label, PlanSpec: ch.Plan.String(),
-				Trials: trials, DetectorKind: spec.detectorKind,
+				Attack: name, Channel: ch.Label, PlanSpec: ch.Plan.String(),
+				Trials: trials, DetectorKind: spec.Rule,
 			}
 			if row.DetectorKind == "" {
 				row.DetectorKind = "-"
 			}
-			domain := "attacks/" + spec.name + "/" + ch.Label
+			domain := "attacks/" + name + "/" + ch.Label
 			samples, err := campaign.Run(context.Background(), trials, cfg,
 				func(_ context.Context, i int) (attackSample, error) {
 					s := campaign.DeriveSeed(seed, domain, i)
-					tb, err := core.NewTestbed(s, spec.options(ch.Plan))
+					tb, err := core.NewTestbed(s, spec.Options(ch.Plan))
 					if err != nil {
 						// A world whose setup bond the channel ate is a failed
 						// trial, not a matrix error.
@@ -203,16 +96,19 @@ func RunAttackMatrixWorkers(seed int64, trials, workers int) ([]AttackRow, error
 						}
 						return attackSample{}, err
 					}
-					ok, victim := spec.run(tb)
-					sample := attackSample{OK: ok}
-					if !ok || spec.detectorKind == "" || victim.Snoop == nil {
-						return sample, nil
-					}
-					data, err := victim.Snoop.Bytes()
+					out, err := spec.Run(tb)
 					if err != nil {
 						return attackSample{}, err
 					}
-					first, frames, err := firstFinding(data, spec.detectorKind)
+					sample := attackSample{OK: out.OK}
+					if !out.OK || spec.Rule == "" || out.Victim.Snoop == nil {
+						return sample, nil
+					}
+					data, err := out.Victim.Snoop.Bytes()
+					if err != nil {
+						return attackSample{}, err
+					}
+					first, frames, err := firstFinding(data, spec.Rule)
 					if err != nil {
 						return attackSample{}, err
 					}
@@ -223,7 +119,7 @@ func RunAttackMatrixWorkers(seed int64, trials, workers int) ([]AttackRow, error
 					return sample, nil
 				})
 			if err != nil {
-				return nil, fmt.Errorf("eval: attack matrix (%s, %s): %w", spec.name, ch.Label, err)
+				return nil, fmt.Errorf("eval: attack matrix (%s, %s): %w", name, ch.Label, err)
 			}
 			var sumFrac float64
 			for _, s := range samples {
@@ -242,11 +138,6 @@ func RunAttackMatrixWorkers(seed int64, trials, workers int) ([]AttackRow, error
 		}
 	}
 	return rows, nil
-}
-
-// RunAttackMatrix is RunAttackMatrixWorkers with default workers.
-func RunAttackMatrix(seed int64, trials int) ([]AttackRow, error) {
-	return RunAttackMatrixWorkers(seed, trials, 0)
 }
 
 // RenderAttackMatrix formats the matrix as a table.

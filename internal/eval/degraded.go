@@ -215,11 +215,6 @@ func RunDegradedSweepWorkers(seed int64, trials, workers int) ([]DegradedRow, er
 	return rows, nil
 }
 
-// RunDegradedSweep is RunDegradedSweepWorkers with default workers.
-func RunDegradedSweep(seed int64, trials int) ([]DegradedRow, error) {
-	return RunDegradedSweepWorkers(seed, trials, 0)
-}
-
 // RenderDegraded formats the sweep as a table.
 func RenderDegraded(rows []DegradedRow) string {
 	var b strings.Builder

@@ -24,7 +24,7 @@ func TestDegradedSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestDegradedSweepOutcomes(t *testing.T) {
 	const trials = 6
-	rows, err := RunDegradedSweep(31, trials)
+	rows, err := RunDegradedSweepWorkers(31, trials, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,11 +92,6 @@ func RunDetectionLatencyWorkers(seed int64, trials, workers int) (DetectionLaten
 	return res, nil
 }
 
-// RunDetectionLatency is RunDetectionLatencyWorkers with default workers.
-func RunDetectionLatency(seed int64, trials int) (DetectionLatencyResult, error) {
-	return RunDetectionLatencyWorkers(seed, trials, 0)
-}
-
 // RenderDetectionLatency formats the sweep.
 func RenderDetectionLatency(r DetectionLatencyResult) string {
 	var b strings.Builder

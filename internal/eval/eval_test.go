@@ -9,9 +9,9 @@ import (
 )
 
 func TestTableIAllVulnerable(t *testing.T) {
-	rows, err := RunTableI(1)
+	rows, err := RunTableIWorkers(1, 0)
 	if err != nil {
-		t.Fatalf("RunTableI: %v", err)
+		t.Fatalf("RunTableIWorkers: %v", err)
 	}
 	if len(rows) != 9 {
 		t.Fatalf("Table I must have 9 systems, got %d", len(rows))
@@ -42,9 +42,9 @@ func TestTableIIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Table II with meaningful trial counts is exercised by the benchmarks")
 	}
-	rows, err := RunTableII(1, 25)
+	rows, err := RunTableIIWorkers(1, 25, 0)
 	if err != nil {
-		t.Fatalf("RunTableII: %v", err)
+		t.Fatalf("RunTableIIWorkers: %v", err)
 	}
 	if len(rows) != 7 {
 		t.Fatalf("Table II must have 7 devices, got %d", len(rows))
@@ -156,9 +156,9 @@ func TestStallAblation(t *testing.T) {
 }
 
 func TestLMPTimeoutAblation(t *testing.T) {
-	rows, err := RunLMPTimeoutAblation(8, []time.Duration{2 * time.Second, 10 * time.Second})
+	rows, err := RunLMPTimeoutAblationWorkers(8, []time.Duration{2 * time.Second, 10 * time.Second}, 0)
 	if err != nil {
-		t.Fatalf("RunLMPTimeoutAblation: %v", err)
+		t.Fatalf("RunLMPTimeoutAblationWorkers: %v", err)
 	}
 	for _, r := range rows {
 		if !r.Found {
@@ -183,9 +183,9 @@ func containsStr(xs []string, want string) bool {
 }
 
 func TestMitigationMatrix(t *testing.T) {
-	rows, err := RunMitigationMatrix(9)
+	rows, err := RunMitigationMatrixWorkers(9, 0)
 	if err != nil {
-		t.Fatalf("RunMitigationMatrix: %v", err)
+		t.Fatalf("RunMitigationMatrixWorkers: %v", err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rows))
@@ -245,7 +245,7 @@ func TestWilsonInterval(t *testing.T) {
 }
 
 func TestJitterAblationDegeneratesWithoutSpread(t *testing.T) {
-	rows := RunJitterAblation(11, 8, []time.Duration{0, 30 * time.Millisecond})
+	rows := RunJitterAblationWorkers(11, 8, []time.Duration{0, 30 * time.Millisecond}, 0)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -264,9 +264,9 @@ func TestJitterAblationDegeneratesWithoutSpread(t *testing.T) {
 }
 
 func TestPLOCWindowAblationShape(t *testing.T) {
-	rows, err := RunPLOCWindowAblation(12, []time.Duration{5 * time.Second, 30 * time.Second})
+	rows, err := RunPLOCWindowAblationWorkers(12, []time.Duration{5 * time.Second, 30 * time.Second}, 0)
 	if err != nil {
-		t.Fatalf("RunPLOCWindowAblation: %v", err)
+		t.Fatalf("RunPLOCWindowAblationWorkers: %v", err)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("rows: %d", len(rows))
@@ -294,14 +294,14 @@ func TestRenderHelpers(t *testing.T) {
 	if !strings.Contains(RenderStallAblation(srows), "stall") {
 		t.Error("stall render")
 	}
-	trows, err := RunLMPTimeoutAblation(14, []time.Duration{time.Second})
+	trows, err := RunLMPTimeoutAblationWorkers(14, []time.Duration{time.Second}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(RenderLMPTimeout(trows), "timeout") {
 		t.Error("timeout render")
 	}
-	t2, err := RunTableII(15, 4)
+	t2, err := RunTableIIWorkers(15, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestRenderHelpers(t *testing.T) {
 }
 
 func TestForensicsSweepPerfectOnSimulatedWorlds(t *testing.T) {
-	res, err := RunForensicsSweep(20, 6)
+	res, err := RunForensicsSweepWorkers(20, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +333,11 @@ func TestForensicsSweepPerfectOnSimulatedWorlds(t *testing.T) {
 func TestEvaluationIsDeterministic(t *testing.T) {
 	// The whole evaluation is a pure function of the seed: two runs with
 	// the same seed must produce identical tables.
-	a, err := RunTableII(33, 5)
+	a, err := RunTableIIWorkers(33, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTableII(33, 5)
+	b, err := RunTableIIWorkers(33, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestEvaluationIsDeterministic(t *testing.T) {
 			t.Fatalf("row %d differs across identical seeds:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
-	c, err := RunTableII(34, 5)
+	c, err := RunTableIIWorkers(34, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,17 +60,12 @@ type ForensicsSweepResult struct {
 	CleanFalsePositives int
 }
 
-// RunForensicsSweep measures the capture analyzer's detection and
+// RunForensicsSweepWorkers measures the capture analyzer's detection and
 // false-positive rates across `trials` independent worlds per scenario.
-func RunForensicsSweep(seed int64, trials int) (ForensicsSweepResult, error) {
-	return RunForensicsSweepWorkers(seed, trials, 0)
-}
-
-// RunForensicsSweepWorkers is RunForensicsSweep with an explicit campaign
-// worker count. The trials × 3 scenario worlds (attacked victim, attacked
-// accessory, innocent pairing) form one flat campaign; the aggregate
-// counters are order-independent sums, so the result is bit-identical for
-// any worker count.
+// The trials × 3 scenario worlds (attacked victim, attacked accessory,
+// innocent pairing) form one flat campaign; the aggregate counters are
+// order-independent sums, so the result is bit-identical for any worker
+// count.
 func RunForensicsSweepWorkers(seed int64, trials, workers int) (ForensicsSweepResult, error) {
 	res := ForensicsSweepResult{Trials: trials}
 	flagged, err := campaign.Run(context.Background(), trials*3, sweepCfg(workers),

@@ -20,15 +20,10 @@ type MitigationRow struct {
 	DefenceWorked bool
 }
 
-// RunMitigationMatrix evaluates each §VII defence (plus the post-KNOB
-// hardening) against its attack, with and without the defence armed.
-func RunMitigationMatrix(seed int64) ([]MitigationRow, error) {
-	return RunMitigationMatrixWorkers(seed, 0)
-}
-
-// RunMitigationMatrixWorkers is RunMitigationMatrix with an explicit
-// campaign worker count: the six attack×defence worlds (three pairings,
-// armed and unarmed) are independent and run as one campaign.
+// RunMitigationMatrixWorkers evaluates each §VII defence (plus the
+// post-KNOB hardening) against its attack, with and without the defence
+// armed. The six attack×defence worlds (three pairings, armed and
+// unarmed) are independent and run as one campaign.
 func RunMitigationMatrixWorkers(seed int64, workers int) ([]MitigationRow, error) {
 	// 1. Link key extraction vs the snoop link-key filter (§VII-A).
 	extraction := func(filter bool) (bool, error) {

@@ -42,16 +42,11 @@ type TableIRow struct {
 	Vulnerable bool
 }
 
-// RunTableI reproduces Table I: for each of the nine catalog systems in
-// the client role C, bond it with M, run the link key extraction through
-// every channel the paper demonstrated, and validate the recovered key by
-// impersonating C against M.
-func RunTableI(seed int64) ([]TableIRow, error) {
-	return RunTableIWorkers(seed, 0)
-}
-
-// RunTableIWorkers is RunTableI with an explicit campaign worker count
-// (0 = GOMAXPROCS, 1 = serial reference).
+// RunTableIWorkers reproduces Table I: for each of the nine catalog
+// systems in the client role C, bond it with M, run the link key
+// extraction through every channel the paper demonstrated, and validate
+// the recovered key by impersonating C against M. workers is the
+// campaign worker count (0 = GOMAXPROCS, 1 = serial reference).
 func RunTableIWorkers(seed int64, workers int) ([]TableIRow, error) {
 	entries := device.TableIPlatforms()
 	return campaign.Run(context.Background(), len(entries), sweepCfg(workers),
@@ -142,14 +137,9 @@ func deviceSeed(base int64, model string, trial int) int64 {
 	return campaign.DeriveSeed(base, model, trial)
 }
 
-// RunTableII reproduces Table II: for each victim device, run `trials`
-// independent MITM connection attempts without page blocking (the page
-// race) and with page blocking (PLOC), counting successes.
-func RunTableII(seed int64, trials int) ([]TableIIRow, error) {
-	return RunTableIIWorkers(seed, trials, 0)
-}
-
-// RunTableIIWorkers is RunTableII with an explicit campaign worker count.
+// RunTableIIWorkers reproduces Table II: for each victim device, run
+// `trials` independent MITM connection attempts without page blocking
+// (the page race) and with page blocking (PLOC), counting successes.
 // All devices × trials × {baseline, blocking} attempts form one flat
 // campaign, so the pool stays saturated across device boundaries; the
 // per-trial seeds are the same as the serial sweep's and the success

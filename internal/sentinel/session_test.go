@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -554,7 +555,12 @@ func TestWatchdogForceFailsWedgedDetector(t *testing.T) {
 	out := &syncBuffer{}
 	ends := make(chan StreamSummary, 2)
 	var victim atomic.Uint64
-	wedge := make(chan struct{}) // never closed: the hook blocks forever
+	// The hook blocks until the test releases it, after the watchdog
+	// has fired; release also runs if the test fails first.
+	wedge := make(chan struct{})
+	var unwedge sync.Once
+	release := func() { unwedge.Do(func() { close(wedge) }) }
+	defer release()
 	cfg := Config{
 		TCPAddr:     "127.0.0.1:0",
 		MaxStreams:  1, // the wedged stream holds the only slot...
@@ -568,6 +574,7 @@ func TestWatchdogForceFailsWedgedDetector(t *testing.T) {
 		}
 	}
 	s := startServer(t, cfg)
+	base := runtime.NumGoroutine()
 
 	victim.Store(s.nextID.Load() + 1)
 	conn, err := sendOneShot("tcp", s.TCPAddr(), capture, false)
@@ -596,6 +603,11 @@ func TestWatchdogForceFailsWedgedDetector(t *testing.T) {
 	if sum.Status != StatusClean {
 		t.Fatalf("post-wedge status %q (err %v), want clean", sum.Status, sum.Err)
 	}
+
+	// Released, the wedged stream's goroutines must all exit.
+	release()
+	_ = conn.Close()
+	settleGoroutines(t, base)
 }
 
 // TestTenantQuota: per-tenant admission sits ahead of the global cap —

@@ -92,12 +92,17 @@ rc=0
 "$atk_dir/btsim" -scenario no-such-attack 2> "$atk_dir/unknown.err" || rc=$?
 [ "$rc" -eq 2 ]
 grep -q 'valid: .*stealtooth.*passkey-guard' "$atk_dir/unknown.err"
-"$atk_dir/btsim" -scenario stealtooth -seed 7 -o "$atk_dir" | grep -q 're-paired=true'
+# Save stdout, then grep: a grep -q on a pipe exits at its first match,
+# and btsim, killed by SIGPIPE on its next line, could leave a capture
+# unwritten. set -e makes a nonzero btsim exit fail the step.
+"$atk_dir/btsim" -scenario stealtooth -seed 7 -o "$atk_dir" > "$atk_dir/stealtooth.out"
+grep -q 're-paired=true' "$atk_dir/stealtooth.out"
 rc=0
 "$atk_dir/hcidump" -analyze "$atk_dir/stealtooth_C.btsnoop" > "$atk_dir/stealtooth.rep" || rc=$?
 [ "$rc" -eq 3 ]
 grep -q 'silent-repairing' "$atk_dir/stealtooth.rep"
-"$atk_dir/btsim" -scenario passkey-guard -repeat 10 -seed 7 2>/dev/null | grep -q '0/10 succeeded'
+"$atk_dir/btsim" -scenario passkey-guard -repeat 10 -seed 7 > "$atk_dir/guard.out" 2>/dev/null
+grep -q '0/10 succeeded' "$atk_dir/guard.out"
 go run ./cmd/benchtables -attacks -trials 5 > "$atk_dir/matrix.out"
 grep -q 'Cross-attack matrix' "$atk_dir/matrix.out"
 for atk in stealtooth happy-mitm blurtooth oob-mitm passkey-sniff passkey-guard; do
