@@ -40,7 +40,6 @@ func main() {
 		progress    = flag.Bool("progress", false, "report live campaign progress (trials/sec, retries, ETA) on stderr")
 		synth       = flag.String("synth", "", "write a synthetic btsnoop capture (for pipeline smoke tests) to this path and exit")
 		synthN      = flag.Int("synthrecords", 1_000_000, "with -synth: capture size in records")
-		tsdbsmoke   = flag.String("tsdbsmoke", "", "deterministic tsdb store smoke: append 1M findings into a store at this directory, compact, query, print counts and digests, exit")
 	)
 	flag.Parse()
 
@@ -66,13 +65,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s: %d records, %d bytes, %d key exposures, %d blocked sessions\n",
 			*synth, stats.Records, stats.Bytes, stats.KeyExposures, stats.BlockedSessions)
-		return
-	}
-
-	if *tsdbsmoke != "" {
-		if err := runTSDBSmoke(*tsdbsmoke); err != nil {
-			fail(err)
-		}
 		return
 	}
 

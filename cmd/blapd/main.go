@@ -17,7 +17,6 @@
 //	blapd -stdin < capture.btsnoop        # one-shot; exit 3 on findings
 //	blapd -send capture.btsnoop -tcp host:9011   # one-shot send to a daemon
 //	blapd -send capture.btsnoop -tcp host:9011 -session job-7   # resumable send
-//	blapd -smoke                          # self-contained end-to-end check
 //
 // Every socket stream speaks one protocol, the session framing; an empty
 // session id is a one-shot stream with resume disabled. Clients that
@@ -83,7 +82,6 @@ func main() {
 		pprofFlag    = flag.Bool("pprof", false, "expose /debug/pprof profiling handlers on the -http address")
 		stdin        = flag.Bool("stdin", false, "one-shot: ingest a single capture from stdin and exit (3 if findings)")
 		send         = flag.String("send", "", "client mode: stream the given capture file to a running daemon at -tcp or -unix")
-		smoke        = flag.Bool("smoke", false, "self-contained end-to-end check on ephemeral sockets; exit 0/1")
 		storeDir     = flag.String("store", "", "persist findings, stream ends, and metrics snapshots to an embedded time-series store at this directory (adds /query to -http)")
 		retention    = flag.Duration("retention", 0, "drop stored segments older than this; 0 keeps everything (needs -store)")
 		metricsEvery = flag.Duration("metrics-every", 10*time.Second, "interval between persisted metrics snapshots (negative disables; needs -store)")
@@ -99,16 +97,11 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: blapd [-tcp addr] [-unix path] [-http addr] [-stdin] [-send capture] [-smoke]")
+		fmt.Fprintln(os.Stderr, "usage: blapd [-tcp addr] [-unix path] [-http addr] [-stdin] [-send capture]")
 		os.Exit(2)
 	}
 
 	switch {
-	case *smoke:
-		if err := runSmoke(os.Stderr, *shards); err != nil {
-			fail(err)
-		}
-		fmt.Println("blapd smoke: ok")
 	case *send != "":
 		if err := runSend(*send, *tcpAddr, *unixAddr, *session, *tenant, *connTimeout, *cutAt); err != nil {
 			if errors.Is(err, errPartialSend) {
@@ -121,7 +114,7 @@ func main() {
 		os.Exit(runStdin(*maxStreams, *shards))
 	default:
 		if *tcpAddr == "" && *unixAddr == "" {
-			fmt.Fprintln(os.Stderr, "blapd: no ingestion listener; set -tcp and/or -unix (or use -stdin/-send/-smoke)")
+			fmt.Fprintln(os.Stderr, "blapd: no ingestion listener; set -tcp and/or -unix (or use -stdin/-send)")
 			os.Exit(2)
 		}
 		if *pprofFlag && *httpAddr == "" {

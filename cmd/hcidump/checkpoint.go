@@ -65,8 +65,11 @@ func readFollowCheckpoint(path string) (*followCheckpoint, error) {
 	return c, nil
 }
 
-// writeFollowCheckpoint atomically replaces path (write temp + rename)
-// so a crash mid-write never leaves a truncated sidecar behind.
+// writeFollowCheckpoint atomically replaces path so a crash never
+// leaves a truncated sidecar behind: the temp file is written, synced
+// to media and closed, every error checked, before the rename. Without
+// the sync a machine crash could keep the rename but lose the data,
+// leaving an empty sidecar that the next -follow -checkpoint rejects.
 func writeFollowCheckpoint(path string, c *followCheckpoint) error {
 	b := make([]byte, 0, len(ckpMagic)+25+len(c.state))
 	b = append(b, ckpMagic...)
@@ -77,7 +80,18 @@ func writeFollowCheckpoint(path string, c *followCheckpoint) error {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.state)))
 	b = append(b, c.state...)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

@@ -187,25 +187,18 @@ func main() {
 
 	out := bufio.NewWriterSize(os.Stdout, 1<<16)
 	fmt.Fprint(out, snoop.TableHeader())
-	if st != nil {
-		sc := snoop.NewBatchScanner(in)
-		var b snoop.RecordBatch
-		for sc.ScanBatch(&b) {
-			for i, rec := range b.Records {
-				st.record(rec)
-				if row, ok := snoop.SummarizeRecord(b.First+i, rec); ok {
-					fmt.Fprint(out, snoop.FormatRow(row))
-				}
+	sc := snoop.NewBatchScanner(in)
+	var b snoop.RecordBatch
+	for sc.ScanBatch(&b) {
+		for i, rec := range b.Records {
+			st.record(rec)
+			if row, ok := snoop.SummarizeRecord(b.First+i, rec); ok {
+				fmt.Fprint(out, snoop.FormatRow(row))
 			}
 		}
-		err = sc.Err()
-		st.report(os.Stderr)
-	} else {
-		err = snoop.SummarizeStream(in, func(row snoop.FrameSummary) {
-			fmt.Fprint(out, snoop.FormatRow(row))
-		})
 	}
-	if err != nil {
+	st.report(os.Stderr)
+	if err := sc.Err(); err != nil {
 		out.Flush()
 		fail(fmt.Errorf("parsing %s: %w", flag.Arg(0), err))
 	}

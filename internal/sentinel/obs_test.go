@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,8 +167,8 @@ func TestMetricsJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(doc["shards"], &shards); err != nil {
 		t.Fatal(err)
 	}
-	if len(shards) == 0 {
-		t.Fatal("shards section empty")
+	if len(shards) != runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d shard rows, want GOMAXPROCS=%d (the default shard count)", len(shards), runtime.GOMAXPROCS(0))
 	}
 	assertKeys(t, "shard row", shards[0], []string{
 		"shard", "streams_active", "streams_total", "records", "bytes",
@@ -199,6 +200,11 @@ func TestMetricsJSONSchema(t *testing.T) {
 	}
 	if snap.IngestLatency.Count == 0 || snap.Streams[0].IngestLatency.Count == 0 {
 		t.Fatal("sampled ingest histograms stayed empty over 6400 records")
+	}
+	for _, stage := range []string{"scan", "push", "drain", "emit"} {
+		if snap.Stages[stage].Count == 0 {
+			t.Fatalf("stage %q timer empty over a capture with findings: %+v", stage, snap.Stages)
+		}
 	}
 
 	pw.Close()

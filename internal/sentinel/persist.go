@@ -219,15 +219,15 @@ func (sh *shard) persistLoop() {
 func (sh *shard) persistBurst(buf []byte, fb *findingBurst) []byte {
 	for i := range fb.evs {
 		var ok bool
-		if buf, ok = AppendFindingRecord(buf, &fb.evs[i]); !ok {
+		if buf, ok = appendFindingRecord(buf, &fb.evs[i]); !ok {
 			sh.m.persistDropped.Add(1)
 		}
 	}
 	if len(buf) == 0 {
 		return buf
 	}
-	recs := len(buf) / FindingRecordSize
-	n, _ := sh.srv.cfg.Store.AppendBatch(SeriesFindings, fb.ts, fb.stream, buf, FindingRecordSize)
+	recs := len(buf) / findingRecordSize
+	n, _ := sh.srv.cfg.Store.AppendBatch(SeriesFindings, fb.ts, fb.stream, buf, findingRecordSize)
 	sh.m.persistAppended.Add(uint64(n))
 	sh.m.persistDropped.Add(uint64(recs - n))
 	return buf

@@ -275,6 +275,24 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("wrong-stream filter returned rows: %s (%v)", body, err)
 	}
 
+	// The stream's end is stored too; poll for it as for the findings.
+	for {
+		_, body = get("/query?series=ends")
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatalf("bad ends body %s: %v", body, err)
+		}
+		if res.Count > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream end never stored: %s", body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if res.Count != 1 || res.Results[0].Stream != sum.ID {
+		t.Fatalf("/query?series=ends: %s, want one end for stream %d", body, sum.ID)
+	}
+
 	// Window: a since in the future excludes everything.
 	_, body = get("/query?series=findings&since=" + time.Now().Add(time.Hour).UTC().Format(time.RFC3339))
 	if err := json.Unmarshal(body, &res); err != nil || res.Count != 0 {
@@ -303,7 +321,7 @@ func TestQueryEndpoint(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if res.Ingest.P99US <= 0 || res.IntervalMS < 0 {
+	if res.Ingest.P50US <= 0 || res.Ingest.P99US <= 0 || res.IntervalMS < 0 {
 		t.Fatalf("hist snapshot unpopulated: %+v", res)
 	}
 

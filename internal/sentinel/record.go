@@ -37,8 +37,8 @@ import (
 // segment-version bump was needed (the dispatch decodeCkptFrame uses).
 const (
 	findingRecordMagic = 0xF1
-	// FindingRecordSize is the size of one stored finding record.
-	FindingRecordSize = 48
+	// findingRecordSize is the size of one stored finding record.
+	findingRecordSize = 48
 )
 
 // findingKinds and keySources map record codes to the strings they
@@ -71,19 +71,19 @@ func codeOf(table []string, s string) byte {
 	return 0
 }
 
-// AppendFindingRecord appends ev's record, as the daemon stores it, to
+// appendFindingRecord appends ev's record, as the daemon stores it, to
 // b. It reports false, and appends nothing, for a finding the record
 // cannot carry: a rendered Detail, a kind or source without a code, or
 // a Finding.Frame that differs from the event's. The live detector
 // emits none of these.
-func AppendFindingRecord(b []byte, ev *forensics.Event) ([]byte, bool) {
+func appendFindingRecord(b []byte, ev *forensics.Event) ([]byte, bool) {
 	f := &ev.Finding
 	kind := codeOf(findingKinds[:], f.Kind)
 	src := codeOf(keySources[:], f.Source)
 	if kind == 0 || (src == 0 && f.Source != "") || f.Detail != "" || f.Frame != ev.Frame {
 		return b, false
 	}
-	var r [FindingRecordSize]byte
+	var r [findingRecordSize]byte
 	r[0] = findingRecordMagic
 	r[1] = kind
 	r[2] = src
@@ -100,11 +100,11 @@ func AppendFindingRecord(b []byte, ev *forensics.Event) ([]byte, bool) {
 }
 
 // decodeFindingRecord fills ev from a record and reports whether r is
-// one: exactly FindingRecordSize bytes, the magic, a kind code, a source
+// one: exactly findingRecordSize bytes, the magic, a kind code, a source
 // code, zero padding and a nanosecond field below one second. Whatever
-// it accepts, AppendFindingRecord encodes back to r.
+// it accepts, appendFindingRecord encodes back to r.
 func decodeFindingRecord(r []byte, ev *forensics.Event) bool {
-	if len(r) != FindingRecordSize || r[0] != findingRecordMagic ||
+	if len(r) != findingRecordSize || r[0] != findingRecordMagic ||
 		r[1] == 0 || int(r[1]) >= len(findingKinds) || int(r[2]) >= len(keySources) ||
 		r[14]|r[15]|r[44]|r[45]|r[46]|r[47] != 0 {
 		return false

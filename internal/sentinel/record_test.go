@@ -143,8 +143,8 @@ func TestFindingRecordRoundTrip(t *testing.T) {
 	for i := range evs {
 		ev := &evs[i]
 		var ok bool
-		if rec, ok = AppendFindingRecord(rec[:0], ev); !ok || len(rec) != FindingRecordSize {
-			t.Fatalf("event %d (%s, source %q) has no %d-byte record: %d bytes", i, ev.Finding.Kind, ev.Finding.Source, FindingRecordSize, len(rec))
+		if rec, ok = appendFindingRecord(rec[:0], ev); !ok || len(rec) != findingRecordSize {
+			t.Fatalf("event %d (%s, source %q) has no %d-byte record: %d bytes", i, ev.Finding.Kind, ev.Finding.Source, findingRecordSize, len(rec))
 		}
 		got, err := renderStored(nil, tsdb.Frame{TS: stamp, Key: stream, Data: rec})
 		want := appendFinding(nil, stream, appendStamp(nil, stamp), ev)
@@ -163,7 +163,7 @@ func TestFindingRecordRoundTrip(t *testing.T) {
 	} {
 		ev := evs[0]
 		mut(&ev)
-		if b, ok := AppendFindingRecord(nil, &ev); ok || len(b) != 0 {
+		if b, ok := appendFindingRecord(nil, &ev); ok || len(b) != 0 {
 			t.Errorf("%s: a finding the record cannot carry was encoded", name)
 		}
 	}
@@ -235,12 +235,12 @@ func TestQueryServesMixedStore(t *testing.T) {
 	var recs []byte
 	for i := range evs {
 		var ok bool
-		if recs, ok = AppendFindingRecord(recs, &evs[i]); !ok {
+		if recs, ok = appendFindingRecord(recs, &evs[i]); !ok {
 			t.Fatalf("finding %d has no record", i)
 		}
 		want = append(want, string(appendFinding(nil, 9, appendStamp(nil, ts), &evs[i])))
 	}
-	if n, err := store.AppendBatch(SeriesFindings, ts, 9, recs, FindingRecordSize); err != nil || n != len(evs) {
+	if n, err := store.AppendBatch(SeriesFindings, ts, 9, recs, findingRecordSize); err != nil || n != len(evs) {
 		t.Fatalf("AppendBatch wrote %d of %d: %v", n, len(evs), err)
 	}
 	if got := queryFindings(t, store); strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -253,16 +253,16 @@ func TestQueryServesMixedStore(t *testing.T) {
 // re-encode to the same 48 bytes and render as valid JSON.
 func FuzzFindingRecord(f *testing.F) {
 	for _, ev := range everyKindFindings(f) {
-		rec, _ := AppendFindingRecord(nil, &ev)
+		rec, _ := appendFindingRecord(nil, &ev)
 		f.Add(rec)
 	}
 	f.Add([]byte(`{"type":"finding","stream":1}`))
 	f.Add([]byte{findingRecordMagic})
-	f.Add(make([]byte, FindingRecordSize))
+	f.Add(make([]byte, findingRecordSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev forensics.Event
 		if decodeFindingRecord(data, &ev) {
-			again, ok := AppendFindingRecord(nil, &ev)
+			again, ok := appendFindingRecord(nil, &ev)
 			if !ok || !bytes.Equal(again, data) {
 				t.Fatalf("decoded %x re-encodes to %x (ok %v)", data, again, ok)
 			}

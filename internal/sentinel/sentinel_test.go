@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -114,13 +115,15 @@ func TestConcurrentStreamsMatchBatch(t *testing.T) {
 	ends := make(chan StreamSummary, clients)
 	sock := filepath.Join(t.TempDir(), "blapd.sock")
 	s := startServer(t, Config{
-		TCPAddr:     "127.0.0.1:0",
-		UnixAddr:    sock,
-		HTTPAddr:    "127.0.0.1:0",
-		MaxStreams:  clients,
-		Shards:      4,
-		Output:      &out,
-		OnStreamEnd: func(sum StreamSummary) { ends <- sum },
+		TCPAddr:      "127.0.0.1:0",
+		UnixAddr:     sock,
+		HTTPAddr:     "127.0.0.1:0",
+		MaxStreams:   clients,
+		Shards:       4,
+		Output:       &out,
+		OnStreamEnd:  func(sum StreamSummary) { ends <- sum },
+		Store:        openTestStore(t),
+		MetricsEvery: 10 * time.Millisecond,
 	})
 
 	// Unique record counts let us match stream IDs back to captures from
@@ -164,7 +167,8 @@ func TestConcurrentStreamsMatchBatch(t *testing.T) {
 		t.Fatalf("events for %d streams, want %d", len(byStream), clients)
 	}
 
-	totalFindings := 0
+	totalFindings, totalRecords := 0, 0
+	streamFindings := make(map[uint64]int, clients)
 	for id, evs := range byStream {
 		if evs[0].Type != EventStreamStart {
 			t.Fatalf("stream %d: first event %q", id, evs[0].Type)
@@ -201,12 +205,19 @@ func TestConcurrentStreamsMatchBatch(t *testing.T) {
 			}
 		}
 		totalFindings += len(want)
+		totalRecords += end.Records
+		streamFindings[id] = len(want)
 	}
 
-	// Daemon-wide metrics must add up across streams.
+	// Daemon-wide metrics must add up across streams: every record, and
+	// one detect-latency observation per finding.
 	snap := s.Snapshot()
 	if snap.StreamsTotal != clients || snap.StreamsActive != 0 {
 		t.Fatalf("streams total=%d active=%d", snap.StreamsTotal, snap.StreamsActive)
+	}
+	if snap.Records != uint64(totalRecords) || snap.DetectLatency.Count != uint64(totalFindings) {
+		t.Fatalf("metrics count %d records and %d detect observations, streams ended with %d records and %d findings",
+			snap.Records, snap.DetectLatency.Count, totalRecords, totalFindings)
 	}
 	var kinds uint64
 	for _, n := range snap.FindingsKind {
@@ -239,6 +250,50 @@ func TestConcurrentStreamsMatchBatch(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz %d", hresp.StatusCode)
+	}
+
+	// Every shard's persist loop appends to the same store series at
+	// once: /query must return each finding exactly once, attributed to
+	// its own stream, and one end per stream. Persistence is async, so
+	// poll until the findings land.
+	query := func(path string) QueryResult {
+		t.Helper()
+		resp, err := http.Get("http://" + s.HTTPAddr() + path + "&limit=1000000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var res QueryResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return res
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		res := query("/query?series=findings")
+		if res.Count == totalFindings {
+			break
+		}
+		if res.Count > totalFindings || time.Now().After(deadline) {
+			t.Fatalf("/query has %d findings, streams emitted %d", res.Count, totalFindings)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for id, n := range streamFindings {
+		if res := query(fmt.Sprintf("/query?series=findings&stream=%d", id)); res.Count != n {
+			t.Fatalf("/query stream=%d has %d findings, want %d", id, res.Count, n)
+		}
+	}
+	for {
+		res := query("/query?series=ends")
+		if res.Count == clients {
+			break
+		}
+		if res.Count > clients || time.Now().After(deadline) {
+			t.Fatalf("/query has %d stream ends, want %d", res.Count, clients)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -97,6 +97,7 @@ func TestSessionResumeAcrossReconnect(t *testing.T) {
 		t.Fatalf("sessions snapshot %+v, want parked 0 / parked_total 1 / resumed 1", snap)
 	}
 	var sawParked, sawResumed bool
+	var live []Event
 	for _, ev := range parseEvents(t, out.Lines()) {
 		switch ev.Type {
 		case EventSessionParked:
@@ -106,10 +107,24 @@ func TestSessionResumeAcrossReconnect(t *testing.T) {
 			}
 		case EventSessionResumed:
 			sawResumed = true
+		case EventFinding:
+			live = append(live, ev)
 		}
 	}
 	if !sawParked || !sawResumed {
 		t.Fatalf("parked/resumed events on output: %v/%v", sawParked, sawResumed)
+	}
+	// Across the cut the stream emits exactly the batch findings.
+	want := forensics.Analyze(recs).Findings
+	if len(want) == 0 || len(live) != len(want) {
+		t.Fatalf("%d live findings across the resume, batch has %d", len(live), len(want))
+	}
+	for i, ev := range live {
+		w := want[i]
+		if ev.Stream != hello.Stream || ev.Frame != w.Frame || ev.Kind != w.Kind ||
+			ev.Peer != w.Peer.String() || ev.Detail != w.Detail {
+			t.Fatalf("finding %d across the resume:\nlive:  %+v\nbatch: %+v", i, ev, w)
+		}
 	}
 }
 

@@ -296,68 +296,6 @@ func TestSlabCopy(t *testing.T) {
 	}
 }
 
-// TestRewritePreservesDatalink is the regression test for the header
-// restamping bug: Rewrite used to emit DatalinkH4 regardless of the
-// source stream's datalink.
-func TestRewritePreservesDatalink(t *testing.T) {
-	for _, dl := range []uint32{DatalinkH1, DatalinkH4, DatalinkBCSP, DatalinkH5} {
-		var src bytes.Buffer
-		w := NewWriter(&src)
-		w.SetDatalink(dl)
-		if err := w.WriteRecord(Record{Data: []byte{0x01, 0x03, 0x0c, 0x00}, OriginalLength: 4}); err != nil {
-			t.Fatal(err)
-		}
-
-		var out bytes.Buffer
-		kept, dropped, err := Rewrite(&out, bytes.NewReader(src.Bytes()), nil)
-		if err != nil || kept != 1 || dropped != 0 {
-			t.Fatalf("datalink %d: kept=%d dropped=%d err=%v", dl, kept, dropped, err)
-		}
-		if !bytes.Equal(out.Bytes(), src.Bytes()) {
-			t.Fatalf("datalink %d: rewrite is not a byte-identical round-trip", dl)
-		}
-		r := NewBatchScannerBytes(out.Bytes())
-		if got := collectBatches(t, r); len(got) != 1 || r.Err() != nil {
-			t.Fatalf("datalink %d: read back %d records: %v", dl, len(got), r.Err())
-		}
-		if r.Datalink() != dl {
-			t.Fatalf("rewrite stamped datalink %d, want %d", r.Datalink(), dl)
-		}
-
-		// Header-only sources keep their datalink too.
-		var hdrOnly, out2 bytes.Buffer
-		w2 := NewWriter(&hdrOnly)
-		w2.SetDatalink(dl)
-		if err := w2.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Rewrite(&out2, bytes.NewReader(hdrOnly.Bytes()), nil); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out2.Bytes(), hdrOnly.Bytes()) {
-			t.Fatalf("datalink %d: header-only rewrite differs", dl)
-		}
-	}
-}
-
-// TestSetDatalinkLatchedAfterHeader: once the header is out, the
-// datalink cannot change mid-file.
-func TestSetDatalinkLatchedAfterHeader(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteRecord(Record{Data: []byte{0x01, 0x03, 0x0c, 0x00}, OriginalLength: 4}); err != nil {
-		t.Fatal(err)
-	}
-	w.SetDatalink(DatalinkH1)
-	r := NewBatchScannerBytes(buf.Bytes())
-	if got := collectBatches(t, r); len(got) != 1 || r.Err() != nil {
-		t.Fatalf("read back %d records: %v", len(got), r.Err())
-	}
-	if r.Datalink() != DatalinkH4 {
-		t.Fatalf("late SetDatalink rewrote the header: %d", r.Datalink())
-	}
-}
-
 func BenchmarkBatchScanner(b *testing.B) {
 	data, stats := synthCapture(b, 250000, 9)
 	newScanner := map[string]func() *BatchScanner{

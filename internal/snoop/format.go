@@ -84,24 +84,13 @@ var (
 
 // Writer emits a btsnoop stream.
 type Writer struct {
-	w        io.Writer
-	datalink uint32
-	started  bool
+	w       io.Writer
+	started bool
 }
 
-// NewWriter returns a Writer that emits the file header on the first
-// record (or on Flush). The datalink defaults to DatalinkH4; use
-// SetDatalink before the first record to emit a different one (Rewrite
-// does this to preserve the source stream's datalink).
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w, datalink: DatalinkH4} }
-
-// SetDatalink sets the datalink type stamped into the file header. It
-// has no effect once the header has been written.
-func (w *Writer) SetDatalink(datalink uint32) {
-	if !w.started {
-		w.datalink = datalink
-	}
-}
+// NewWriter returns a Writer that emits the file header, datalink
+// DatalinkH4, on the first record (or on Flush).
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 func (w *Writer) header() error {
 	if w.started {
@@ -111,7 +100,7 @@ func (w *Writer) header() error {
 	var hdr [16]byte
 	copy(hdr[:8], magic)
 	binary.BigEndian.PutUint32(hdr[8:12], Version)
-	binary.BigEndian.PutUint32(hdr[12:16], w.datalink)
+	binary.BigEndian.PutUint32(hdr[12:16], DatalinkH4)
 	_, err := w.w.Write(hdr[:])
 	return err
 }
@@ -150,8 +139,7 @@ func (w *Writer) Flush() error { return w.header() }
 
 // parseFileHeader validates a fully buffered 16-byte file header and
 // returns the datalink type. All datalink types btsnoop defines are
-// accepted (H1/H4/BCSP/H5 — Rewrite must round-trip any of them);
-// anything else is ErrBadDatalink.
+// accepted (H1/H4/BCSP/H5); anything else is ErrBadDatalink.
 func parseFileHeader(hdr *[16]byte) (uint32, error) {
 	if string(hdr[:8]) != magic {
 		return 0, ErrBadMagic
@@ -218,45 +206,4 @@ func ReadAll(data []byte) ([]Record, error) {
 func (r Record) Clone() Record {
 	r.Data = append([]byte(nil), r.Data...)
 	return r
-}
-
-// Rewrite is the Writer-side mirror of BatchScanner: it streams records
-// from src through filter into dst one block at a time, so a
-// multi-gigabyte capture can be filtered (e.g. with LinkKeyFilter) in
-// constant memory. A nil filter copies the capture verbatim. Filters
-// must not retain the record's Data across calls; the stock filters copy
-// before rewriting. It returns how many records were kept and dropped.
-// The source stream's datalink type is propagated to the output header,
-// so a non-H4 capture round-trips instead of being silently restamped
-// as H4.
-func Rewrite(dst io.Writer, src io.Reader, filter func(Record) (Record, bool)) (kept, dropped int, err error) {
-	sc := NewBatchScanner(src)
-	w := NewWriter(dst)
-	var b RecordBatch
-	for sc.ScanBatch(&b) {
-		// The datalink is known once the first batch has consumed the
-		// file header; latch it before the Writer emits its own header.
-		w.SetDatalink(sc.Datalink())
-		for _, rec := range b.Records {
-			if filter != nil {
-				out, ok := filter(rec)
-				if !ok {
-					dropped++
-					continue
-				}
-				rec = out
-			}
-			if err := w.WriteRecord(rec); err != nil {
-				return kept, dropped, err
-			}
-			kept++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return kept, dropped, err
-	}
-	// A record-free source still read its file header; preserve its
-	// datalink on the header-only output too.
-	w.SetDatalink(sc.Datalink())
-	return kept, dropped, w.Flush()
 }

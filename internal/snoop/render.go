@@ -26,41 +26,19 @@ type FrameSummary struct {
 func Summarize(records []Record) []FrameSummary {
 	var rows []FrameSummary
 	for i, rec := range records {
-		if row, ok := summarizeRecord(i+1, rec); ok {
+		if row, ok := SummarizeRecord(i+1, rec); ok {
 			rows = append(rows, row)
 		}
 	}
 	return rows
 }
 
-// SummarizeStream is Summarize over a btsnoop stream: rows are emitted
-// one at a time as the capture is scanned block by block, so
-// arbitrarily large files render in constant memory.
-func SummarizeStream(r io.Reader, emit func(FrameSummary)) error {
-	sc := NewBatchScanner(r)
-	var b RecordBatch
-	for sc.ScanBatch(&b) {
-		for i, rec := range b.Records {
-			if row, ok := summarizeRecord(b.First+i, rec); ok {
-				emit(row)
-			}
-		}
-	}
-	return sc.Err()
-}
-
 // SummarizeRecord decodes one record into a trace-table row, reporting
-// false for frames the table skips (data packets). It is the per-record
-// form of SummarizeStream for callers that drive their own BatchScanner
-// — e.g. to observe every record, not just the rendered ones.
+// false for frames the table skips (data packets). The record body is
+// only borrowed (never retained), so a caller can drive it straight off
+// a BatchScanner's blocks and render arbitrarily large files in
+// constant memory.
 func SummarizeRecord(frame int, rec Record) (FrameSummary, bool) {
-	return summarizeRecord(frame, rec)
-}
-
-// summarizeRecord decodes one record into a trace-table row. The record
-// body is only borrowed (never retained), so scanner-owned buffers are
-// safe here.
-func summarizeRecord(frame int, rec Record) (FrameSummary, bool) {
 	if len(rec.Data) == 0 {
 		return FrameSummary{}, false
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/bt"
 	"repro/internal/hci"
 )
 
@@ -179,52 +178,6 @@ func TestWriterDefaultsOriginalLength(t *testing.T) {
 	}
 }
 
-func TestRewriteStreamsFilter(t *testing.T) {
-	key := bt.MustLinkKey("c4f16e949f04ee9c0fd6b1330289c324")
-	addr := bt.MustBDADDR("00:1a:7d:da:71:0a")
-	recs := fixLengths([]Record{
-		{Flags: FlagCommandEvent, Data: hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: addr, Key: key}).Wire()},
-		{Flags: FlagCommandEvent, Data: hci.EncodeCommand(&hci.AuthenticationRequested{Handle: 3}).Wire()},
-		{Flags: FlagCommandEvent | FlagDirectionReceived, Data: hci.EncodeEvent(&hci.LinkKeyNotification{Addr: addr, Key: key}).Wire()},
-	})
-	src := serializeRecords(t, recs)
-
-	var out bytes.Buffer
-	kept, dropped, err := Rewrite(&out, bytes.NewReader(src), LinkKeyFilter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept != 3 || dropped != 0 {
-		t.Fatalf("kept=%d dropped=%d", kept, dropped)
-	}
-	filtered, err := ReadAll(out.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := ExtractLinkKeys(filtered); len(hits) != 0 {
-		t.Fatalf("filter leaked %d keys through Rewrite", len(hits))
-	}
-	if !filtered[0].Truncated() || !filtered[2].Truncated() {
-		t.Fatal("key carriers must read as truncated after filtering")
-	}
-
-	// Dropping filter: keep nothing.
-	out.Reset()
-	kept, dropped, err = Rewrite(&out, bytes.NewReader(src), func(Record) (Record, bool) { return Record{}, false })
-	if err != nil || kept != 0 || dropped != 3 {
-		t.Fatalf("drop-all: kept=%d dropped=%d err=%v", kept, dropped, err)
-	}
-
-	// Nil filter: verbatim copy.
-	out.Reset()
-	if _, _, err := Rewrite(&out, bytes.NewReader(src), nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), src) {
-		t.Fatal("nil filter must copy the capture verbatim")
-	}
-}
-
 func TestSynthesizeDeterministicAndScannable(t *testing.T) {
 	a, stats := synthCapture(t, 5000, 42)
 	b, stats2 := synthCapture(t, 5000, 42)
@@ -267,8 +220,19 @@ func TestStreamingRendersMatchInMemory(t *testing.T) {
 	}
 
 	want := Summarize(recs)
+	// The streaming half runs the per-block loop hcidump's table mode
+	// uses: SummarizeRecord over each block of a BatchScanner.
 	var got []FrameSummary
-	if err := SummarizeStream(bytes.NewReader(data), func(r FrameSummary) { got = append(got, r) }); err != nil {
+	sc := NewBatchScanner(bytes.NewReader(data))
+	var b RecordBatch
+	for sc.ScanBatch(&b) {
+		for i, rec := range b.Records {
+			if row, ok := SummarizeRecord(b.First+i, rec); ok {
+				got = append(got, row)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {

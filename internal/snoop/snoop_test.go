@@ -127,7 +127,7 @@ func TestReaderRejectsBadInput(t *testing.T) {
 	if _, err := ReadAll(bad2); !errors.Is(err, ErrBadDatalink) {
 		t.Errorf("bad datalink: %v", err)
 	}
-	// Known non-H4 datalinks parse (Rewrite must round-trip them).
+	// Known non-H4 datalinks parse.
 	h1 := append([]byte("btsnoop\x00"), 0, 0, 0, 1, 0, 0, 3, 0xE9)
 	if recs, err := ReadAll(h1); err != nil || len(recs) != 0 {
 		t.Errorf("H1 datalink header: %v %d", err, len(recs))

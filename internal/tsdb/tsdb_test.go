@@ -585,3 +585,109 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestFixedClockStoreIsByteDeterministic: under a fixed clock a store is
+// a function of its appends alone. Two stores built from the same
+// appends (finding-sized records in AppendBatch bursts, a downsampled
+// series beside them, segment rolls, then one retention and
+// downsampling pass) must hold byte-identical files and answer queries
+// identically. The store never stamps data itself, so a difference
+// means the wall clock or a map's iteration order reached a segment.
+func TestFixedClockStoreIsByteDeterministic(t *testing.T) {
+	const (
+		records = 30_000 // one finding per millisecond, ending at the clock
+		burst   = 16     // findings per AppendBatch, sharing a key and stamp
+		stride  = 48     // the daemon's stored finding record size
+		window  = 2_000  // the final-window query, in records
+	)
+	at := func(i int) int64 { return t0.Add(time.Duration(i-records) * time.Millisecond).UnixNano() }
+	build := func(dir string) (CompactStats, []Frame, int) {
+		s := openTest(t, dir, func(o *Options) {
+			o.SegmentBytes = 32 << 10
+			o.Retention = 20 * time.Second
+			o.Downsample = map[string]Downsampler{
+				"hist": {After: 5 * time.Second, Window: 250 * time.Millisecond, Merge: sumMerge},
+			}
+		})
+		var buf []byte
+		for first := 0; first < records; first += burst {
+			buf = buf[:0]
+			for i := first; i < first+burst; i++ {
+				var rec [stride]byte
+				binary.LittleEndian.PutUint64(rec[0:8], uint64(i))
+				binary.LittleEndian.PutUint64(rec[8:16], uint64(7*i+1))
+				copy(rec[16:], fmt.Sprintf("finding %d", i%3))
+				buf = append(buf, rec[:]...)
+			}
+			key := uint64(first/burst%16 + 1)
+			if n, err := s.AppendBatch("findings", at(first), key, buf, stride); err != nil || n != burst {
+				t.Fatalf("AppendBatch at %d wrote %d of %d: %v", first, n, burst, err)
+			}
+			var count [8]byte
+			binary.LittleEndian.PutUint64(count[:], uint64(first))
+			if err := s.Append("hist", at(first), 0, count[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats, err := s.Compact()
+		if err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		all := collect(t, s, "findings", 0, at(records), KeyAny)
+		all = append(all, collect(t, s, "hist", 0, at(records), KeyAny)...)
+		final := len(collect(t, s, "findings", at(records-window), at(records-1), KeyAny))
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return stats, all, final
+	}
+	files := func(dir string) map[string][]byte {
+		out := map[string][]byte{}
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, err := filepath.Rel(dir, path)
+			if err == nil {
+				out[rel], err = os.ReadFile(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	dirA, dirB := t.TempDir(), t.TempDir()
+	statsA, framesA, finalA := build(dirA)
+	statsB, framesB, finalB := build(dirB)
+	if statsA.SegmentsDeleted == 0 || statsA.SegmentsDownsampled == 0 {
+		t.Fatalf("compaction deleted %d and downsampled %d segments, want both nonzero",
+			statsA.SegmentsDeleted, statsA.SegmentsDownsampled)
+	}
+	if statsA != statsB {
+		t.Fatalf("compaction differs between runs: %+v vs %+v", statsA, statsB)
+	}
+	if finalA != window || finalB != window {
+		t.Fatalf("final window holds %d and %d records, want %d", finalA, finalB, window)
+	}
+	if len(framesA) != len(framesB) {
+		t.Fatalf("queries return %d and %d frames", len(framesA), len(framesB))
+	}
+	for i := range framesA {
+		a, b := framesA[i], framesB[i]
+		if a.TS != b.TS || a.Key != b.Key || !bytes.Equal(a.Data, b.Data) {
+			t.Fatalf("query frame %d differs: %+v vs %+v", i, a, b)
+		}
+	}
+	a, b := files(dirA), files(dirB)
+	if len(a) != len(b) {
+		t.Fatalf("%d files in one store, %d in the other", len(a), len(b))
+	}
+	for name, data := range a {
+		if other, ok := b[name]; !ok || !bytes.Equal(data, other) {
+			t.Fatalf("store file %s differs between runs (%d vs %d bytes)", name, len(data), len(other))
+		}
+	}
+}
