@@ -87,24 +87,7 @@ func followFile(f io.Reader, idle, pollMax time.Duration, out io.Writer, st *sca
 	} else {
 		sc = snoop.NewBatchScannerSize(tail, 256<<10)
 	}
-	var b snoop.RecordBatch
-	var text []byte // reused finding text, rendered by AppendDetail
-	for sc.ScanBatch(&b) {
-		// Push every record, not PushKept: the detector's frame count is
-		// part of the checkpoint, and a resumed follow numbers its frames
-		// from it.
-		for _, rec := range b.Records {
-			st.record(rec)
-			det.Push(rec)
-			for _, ev := range det.Drain() {
-				st.finding(ev)
-				text = ev.Finding.AppendDetail(text[:0])
-				fmt.Fprintf(out, "%s frame %-5d [%s] peer %s: %s\n",
-					ev.Time.Format("15:04:05.000000"), ev.Frame,
-					ev.Finding.Kind, ev.Finding.Peer, text)
-			}
-		}
-	}
+	detect(sc, det, st, out)
 	var next *followCheckpoint
 	if sc.Err() == nil {
 		if state, err := det.SnapshotState(); err == nil {
@@ -117,4 +100,31 @@ func followFile(f io.Reader, idle, pollMax time.Duration, out io.Writer, st *sca
 		}
 	}
 	return det.Finish(), next, sc.Err()
+}
+
+// detect runs every record sc yields through det, one Push per record,
+// feeding st (nil for none) and printing each finding to out (nil for
+// none) the moment the record that completes it is pushed. It pushes
+// every record, not PushKept: st counts every record, and the detector's
+// frame count is part of a follow checkpoint, from which a resumed
+// follow numbers its frames.
+func detect(sc *snoop.BatchScanner, det *forensics.Detector, st *scanStats, out io.Writer) {
+	var b snoop.RecordBatch
+	var text []byte // reused finding text, rendered by AppendDetail
+	for sc.ScanBatch(&b) {
+		for _, rec := range b.Records {
+			st.record(rec)
+			det.Push(rec)
+			for _, ev := range det.Drain() {
+				st.finding(ev)
+				if out == nil {
+					continue
+				}
+				text = ev.Finding.AppendDetail(text[:0])
+				fmt.Fprintf(out, "%s frame %-5d [%s] peer %s: %s\n",
+					ev.Time.Format("15:04:05.000000"), ev.Frame,
+					ev.Finding.Kind, ev.Finding.Peer, text)
+			}
+		}
+	}
 }

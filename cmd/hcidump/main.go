@@ -1,11 +1,12 @@
 // Command hcidump parses btsnoop capture files (RFC 1761, as written by
 // Android's snoop log, bluez-hcidump, or this project's simulator) and
-// renders them as a trace table. It can also scan a capture for plaintext
-// link keys — the paper's extraction step — and run the forensic analyzer
-// over it. Every btsnoop mode reads the capture through the block
-// scanner (snoop.BatchScanner) in bounded memory, and -analyze runs
-// forensics.AnalyzeBatch, so multi-gigabyte dumps decode a few hundred
-// KiB at a time.
+// renders them as a trace table. It can also list the plaintext link
+// keys a capture holds — the paper's extraction step — and run the
+// forensic analyzer over it. Every btsnoop mode reads the capture
+// through the block scanner (snoop.BatchScanner) in bounded memory;
+// -analyze and -keys both run forensics.AnalyzeBatch, -keys printing
+// the report's key exposures, so multi-gigabyte dumps decode a few
+// hundred KiB at a time.
 //
 //	hcidump capture.btsnoop
 //	hcidump -keys capture.btsnoop
@@ -136,21 +137,12 @@ func main() {
 		var report *forensics.Report
 		if st != nil {
 			// The stats collector needs to see every record and every
-			// finding as it completes, so drive the batch scanner and
-			// detector directly, one Push per record; the report is
+			// finding as it completes, so run follow's detect loop over
+			// the plain reader, printing no live lines; the report is
 			// bit-identical to AnalyzeBatch (and so to Analyze).
 			sc := snoop.NewBatchScannerSize(in, 256<<10)
 			det := forensics.NewDetector()
-			var b snoop.RecordBatch
-			for sc.ScanBatch(&b) {
-				for _, rec := range b.Records {
-					st.record(rec)
-					det.Push(rec)
-					for _, ev := range det.Drain() {
-						st.finding(ev)
-					}
-				}
-			}
+			detect(sc, det, st, nil)
 			if err := sc.Err(); err != nil {
 				fail(fmt.Errorf("forensics: parsing capture: %w", err))
 			}
@@ -171,16 +163,16 @@ func main() {
 	}
 
 	if *keys {
-		hits, err := snoop.ScanLinkKeys(f)
+		report, err := forensics.AnalyzeBatch(f)
 		if err != nil {
 			fail(fmt.Errorf("parsing %s: %w", flag.Arg(0), err))
 		}
-		if len(hits) == 0 {
+		if len(report.Exposures) == 0 {
 			fmt.Println("no plaintext link keys found")
 			return
 		}
-		for _, h := range hits {
-			fmt.Printf("frame %-5d %-36s peer %s  key %s\n", h.Frame, h.Source, h.Peer, h.Key)
+		for _, e := range report.Exposures {
+			fmt.Printf("frame %-5d %-36s peer %s  key %s\n", e.Frame, e.Source, e.Peer, e.Key)
 		}
 		return
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bt"
 	"repro/internal/device"
+	"repro/internal/forensics"
 	"repro/internal/hci"
 	"repro/internal/host"
 	"repro/internal/radio"
@@ -70,7 +71,7 @@ func main() {
 	rows := snoop.Summarize(phone.Snoop.Records())
 	fmt.Print(snoop.RenderTable(rows))
 	fmt.Println("\n== plaintext keys in the dump ==")
-	for _, hit := range snoop.ExtractLinkKeys(phone.Snoop.Records()) {
-		fmt.Printf("frame %d via %s: %s\n", hit.Frame, hit.Source, hit.Key)
+	for _, e := range forensics.Analyze(phone.Snoop.Records()).Exposures {
+		fmt.Printf("frame %d via %s: %s\n", e.Frame, e.Source, e.Key)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/snoop"
+	"repro/internal/forensics"
 	"repro/internal/usbsniff"
 )
 
@@ -67,9 +67,9 @@ func main() {
 
 	// Fig. 11's cross-check: the same key appears in M's HCI dump.
 	var snoopKey string
-	for _, h := range snoop.ExtractLinkKeys(tb.M.Snoop.Records()) {
-		if h.Peer == tb.C.Addr() {
-			snoopKey = h.Key.String()
+	for _, e := range forensics.Analyze(tb.M.Snoop.Records()).Exposures {
+		if e.Peer == tb.C.Addr() {
+			snoopKey = e.Key.String()
 		}
 	}
 	fmt.Printf("\nM's HCI dump shows:   %s\n", snoopKey)

@@ -67,15 +67,6 @@ func DeriveSeed(base int64, domain string, trial int) int64 {
 	return base + int64(h.Sum64()%1_000_003)
 }
 
-// Seeds returns the n derived seeds of a domain, in trial order.
-func Seeds(base int64, domain string, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = DeriveSeed(base, domain, i)
-	}
-	return out
-}
-
 // Run executes trial(ctx, i) for every i in [0, n) on a pool of
 // cfg.Workers goroutines and returns the results in trial order. All
 // trials are attempted (no early abort on trial errors, matching a sweep
@@ -138,13 +129,6 @@ func Run[T any](ctx context.Context, n int, cfg Config, trial func(ctx context.C
 		}
 	}
 	return results, nil
-}
-
-// RunSeeds is Run over an explicit seed list: trial i receives seeds[i].
-func RunSeeds[T any](ctx context.Context, seeds []int64, cfg Config, trial func(ctx context.Context, i int, seed int64) (T, error)) ([]T, error) {
-	return Run(ctx, len(seeds), cfg, func(ctx context.Context, i int) (T, error) {
-		return trial(ctx, i, seeds[i])
-	})
 }
 
 // Search finds the lowest index i in [0, n) for which pred(i) is true,

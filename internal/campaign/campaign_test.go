@@ -90,21 +90,6 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-func TestRunSeedsPassesDerivedSeeds(t *testing.T) {
-	seeds := Seeds(9, "tableII/pixel6", 20)
-	got, err := RunSeeds(context.Background(), seeds, Config{Workers: 4}, func(_ context.Context, i int, seed int64) (int64, error) {
-		return seed, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seeds {
-		if got[i] != s {
-			t.Fatalf("trial %d saw seed %d, want %d", i, got[i], s)
-		}
-	}
-}
-
 func TestDeriveSeedStableAndDomainSeparated(t *testing.T) {
 	if DeriveSeed(1, "a", 0) != DeriveSeed(1, "a", 0) {
 		t.Fatal("DeriveSeed must be pure")
@@ -205,13 +190,13 @@ func TestConfigDefaults(t *testing.T) {
 func ExampleRun() {
 	// Ten trials, each a pure function of its derived seed; any worker
 	// count yields the same ordered results.
-	seeds := Seeds(1, "example", 10)
-	rows, err := RunSeeds(context.Background(), seeds, Config{Workers: 4}, func(_ context.Context, i int, seed int64) (string, error) {
-		return fmt.Sprintf("trial %d ok", i), nil
+	rows, err := Run(context.Background(), 10, Config{Workers: 4}, func(_ context.Context, i int) (string, error) {
+		seed := DeriveSeed(1, "example", i)
+		return fmt.Sprintf("trial %d ok (seed %d)", i, seed), nil
 	})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(rows[0], "/", rows[9])
-	// Output: trial 0 ok / trial 9 ok
+	// Output: trial 0 ok (seed 897477) / trial 9 ok (seed 589674)
 }

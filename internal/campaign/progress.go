@@ -10,8 +10,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Progress is the campaign engine's live telemetry sink: Run, RunSeeds,
-// and RunRetry bump it as trials complete, so an operator watching a
+// Progress is the campaign engine's live telemetry sink: Run and
+// RunRetry bump it as trials complete, so an operator watching a
 // multi-million-trial sweep sees throughput, retry pressure, and an ETA
 // instead of a silent prompt. One Progress can span several campaigns
 // (a sweep like the degraded-channel matrix runs many back to back);

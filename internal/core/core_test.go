@@ -410,3 +410,37 @@ func TestAirSnifferResetAndLen(t *testing.T) {
 		t.Fatal("reset did not clear")
 	}
 }
+
+// TestExtractionKeysInCapturePinned pins what the snoop-channel
+// extraction reads back from the pulled dump for fixed seeds: the first
+// run finds the bonded key as the capture's one key, and a second run
+// against the same client finds it again beside the first run's copy,
+// so KeysInCapture counts every sighting in the log, not only the new
+// one. With the §VII-A filter on, the dump holds no key at all.
+func TestExtractionKeysInCapturePinned(t *testing.T) {
+	for _, seed := range []int64{1, 2, 7} {
+		tb := mustTestbed(t, seed, TestbedOptions{ClientPlatform: device.GalaxyS21Android11, Bond: true})
+		for run, wantKeys := range []int{1, 2} {
+			rep, err := RunLinkKeyExtraction(tb.Sched, LinkKeyExtractionConfig{
+				Attacker: tb.A, Client: tb.C, Target: tb.M.Addr(), Channel: ChannelHCISnoop,
+			})
+			if err != nil {
+				t.Fatalf("seed %d run %d: %v", seed, run, err)
+			}
+			if !rep.Found || rep.Key != tb.BondKey || rep.KeysInCapture != wantKeys {
+				t.Errorf("seed %d run %d: Found %v, key matches bond %v, KeysInCapture %d; want true, true, %d",
+					seed, run, rep.Found, rep.Key == tb.BondKey, rep.KeysInCapture, wantKeys)
+			}
+		}
+
+		tb = mustTestbed(t, seed, TestbedOptions{ClientPlatform: device.GalaxyS21Android11, Bond: true})
+		tb.C.Snoop.Filter = SnoopLinkKeyFilter
+		rep, err := RunLinkKeyExtraction(tb.Sched, LinkKeyExtractionConfig{
+			Attacker: tb.A, Client: tb.C, Target: tb.M.Addr(), Channel: ChannelHCISnoop,
+		})
+		if !errors.Is(err, ErrKeyNotFound) || rep.Found || rep.KeysInCapture != 0 {
+			t.Errorf("seed %d filtered: err %v, Found %v, KeysInCapture %d; want ErrKeyNotFound, false, 0",
+				seed, err, rep.Found, rep.KeysInCapture)
+		}
+	}
+}

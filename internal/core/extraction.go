@@ -7,10 +7,10 @@ import (
 
 	"repro/internal/bt"
 	"repro/internal/device"
+	"repro/internal/forensics"
 	"repro/internal/hci"
 	"repro/internal/host"
 	"repro/internal/sim"
-	"repro/internal/snoop"
 	"repro/internal/usbsniff"
 )
 
@@ -171,15 +171,14 @@ func RunLinkKeyExtraction(s *sim.Scheduler, cfg LinkKeyExtractionConfig) (LinkKe
 			return rep, err
 		}
 		rep.CaptureBytes = len(data)
-		records, err := snoop.ReadAll(data)
+		analysis, err := forensics.AnalyzeBytes(data)
 		if err != nil {
 			return rep, fmt.Errorf("core: parsing pulled snoop log: %w", err)
 		}
-		hits := snoop.ExtractLinkKeys(records)
-		rep.KeysInCapture = len(hits)
-		for _, h := range hits {
-			if h.Peer == cfg.Target {
-				rep.Key, rep.Found = h.Key, true
+		rep.KeysInCapture = len(analysis.Exposures)
+		for _, e := range analysis.Exposures {
+			if e.Peer == cfg.Target {
+				rep.Key, rep.Found = e.Key, true
 			}
 		}
 	case ChannelUSBSniff:

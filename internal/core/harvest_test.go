@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/bt"
 	"repro/internal/device"
+	"repro/internal/forensics"
 	"repro/internal/host"
 	"repro/internal/radio"
 	"repro/internal/sim"
-	"repro/internal/snoop"
 )
 
 // TestHarvestAllBondsFromOneAccessory models the paper's soft-target
@@ -84,7 +84,7 @@ func TestHarvestAllBondsFromOneAccessory(t *testing.T) {
 	}
 
 	// The kit's single dump now holds every family key.
-	hits := snoop.ExtractLinkKeys(kit.Snoop.Records())
+	hits := forensics.Analyze(kit.Snoop.Records()).Exposures
 	distinct := make(map[bt.BDADDR]bt.LinkKey)
 	for _, h := range hits {
 		distinct[h.Peer] = h.Key

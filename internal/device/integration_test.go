@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/bt"
 	"repro/internal/device"
+	"repro/internal/forensics"
 	"repro/internal/host"
 	"repro/internal/radio"
 	"repro/internal/sim"
-	"repro/internal/snoop"
 )
 
 // newWorld builds a scheduler and medium with a fixed seed.
@@ -93,7 +93,7 @@ func TestPairBondAndReconnect(t *testing.T) {
 
 	// The phone's HCI snoop log must contain the link key in plaintext —
 	// the paper's Fig. 3 observation.
-	hits := snoop.ExtractLinkKeys(m.Snoop.Records())
+	hits := forensics.Analyze(m.Snoop.Records()).Exposures
 	if len(hits) == 0 {
 		t.Fatal("no link keys in the HCI dump")
 	}

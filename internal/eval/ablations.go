@@ -8,10 +8,10 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/forensics"
 	"repro/internal/hci"
 	"repro/internal/host"
 	"repro/internal/radio"
-	"repro/internal/snoop"
 )
 
 // Ablation studies for the design choices DESIGN.md calls out. All
@@ -215,8 +215,8 @@ func runNegativeReplyStrategy(seed int64) (StallAblationRow, error) {
 	tb2.Sched.RunFor(60 * time.Second)
 
 	var logged bool
-	for _, h := range snoop.ExtractLinkKeys(tb2.C.Snoop.Records()) {
-		if h.Key == origKey2 {
+	for _, e := range forensics.Analyze(tb2.C.Snoop.Records()).Exposures {
+		if e.Key == origKey2 {
 			logged = true
 		}
 	}

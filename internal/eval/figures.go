@@ -10,6 +10,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/forensics"
 	"repro/internal/snoop"
 	"repro/internal/usbsniff"
 )
@@ -84,7 +85,7 @@ func RunFig2(seed int64) (Fig2Result, error) {
 // dump, with the hcidump rendering and the raw packet bytes.
 type Fig3Result struct {
 	Key         bt.LinkKey
-	Hit         snoop.LinkKeyHit
+	Hit         forensics.KeyExposure
 	PacketHex   string // raw H4 bytes of the carrying packet
 	DumpRender  string // hcidump-style trace table
 	MatchesBond bool
@@ -103,11 +104,10 @@ func RunFig3(seed int64) (Fig3Result, error) {
 	tb.Sched.RunFor(30 * time.Second)
 
 	records := tb.M.Snoop.Records()
-	hits := snoop.ExtractLinkKeys(records)
-	for _, h := range hits {
-		if h.Peer == tb.C.Addr() {
-			out.Hit = h
-			out.Key = h.Key
+	for _, e := range forensics.Analyze(records).Exposures {
+		if e.Peer == tb.C.Addr() {
+			out.Hit = e
+			out.Key = e.Key
 		}
 	}
 	if out.Key.IsZero() {
@@ -194,9 +194,9 @@ func RunFig11(seed int64) (Fig11Result, error) {
 			out.USBOffset = k.HexOffset
 		}
 	}
-	for _, h := range snoop.ExtractLinkKeys(tb.M.Snoop.Records()) {
-		if h.Peer == tb.C.Addr() {
-			out.SnoopKey = h.Key
+	for _, e := range forensics.Analyze(tb.M.Snoop.Records()).Exposures {
+		if e.Peer == tb.C.Addr() {
+			out.SnoopKey = e.Key
 		}
 	}
 	if out.USBKey.IsZero() || out.SnoopKey.IsZero() {

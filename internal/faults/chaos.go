@@ -3,14 +3,13 @@ package faults
 import (
 	"errors"
 	"io"
-	"time"
 )
 
 // Transport chaos: deterministic fault wrappers for the byte-stream
 // layer, complementing the packet-level radio model above. Where the
 // Injector perturbs *frames* inside the simulator, these wrap real
 // io.Reader/io.Writer endpoints — a socket, a file, a store segment —
-// and kill, slow, or fill them at exact byte offsets. Determinism here
+// and kill or fill them at exact byte offsets. Determinism here
 // needs no RNG at all: every fault fires at a configured offset, so a
 // chaos run is reproducible by construction and a differential harness
 // can sweep "cut the connection at every byte" exhaustively.
@@ -72,29 +71,6 @@ func (c *CutWriter) Write(p []byte) (int, error) {
 		return n, ErrCut
 	}
 	return n, err
-}
-
-// SlowReader is a slow-loris source: each Read delivers at most Chunk
-// bytes and sleeps Delay first, so a consumer's liveness policy (read
-// deadlines, watchdogs) is exercised without a real slow peer.
-type SlowReader struct {
-	R     io.Reader
-	Chunk int           // max bytes per Read (<=0 means 1)
-	Delay time.Duration // sleep before each Read
-}
-
-func (s *SlowReader) Read(p []byte) (int, error) {
-	if s.Delay > 0 {
-		time.Sleep(s.Delay)
-	}
-	chunk := s.Chunk
-	if chunk <= 0 {
-		chunk = 1
-	}
-	if len(p) > chunk {
-		p = p[:chunk]
-	}
-	return s.R.Read(p)
 }
 
 // FullWriter accepts the first N bytes, then fails every Write with

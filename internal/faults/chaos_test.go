@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 )
 
 func TestCutReaderCutsAtExactOffset(t *testing.T) {
@@ -49,20 +48,6 @@ func TestCutWriterPartialWriteThenCut(t *testing.T) {
 	}
 	if n, err := w.Write([]byte("x")); n != 0 || !errors.Is(err, ErrCut) {
 		t.Fatalf("post-cut write: n=%d err=%v", n, err)
-	}
-}
-
-func TestSlowReaderChunksAndDelays(t *testing.T) {
-	src := []byte("hello, slow world")
-	r := &SlowReader{R: bytes.NewReader(src), Chunk: 3, Delay: time.Millisecond}
-	start := time.Now()
-	got, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(got, src) {
-		t.Fatalf("read: %q, %v", got, err)
-	}
-	// ceil(17/3)=6 data reads plus the final EOF read, 1ms each.
-	if elapsed := time.Since(start); elapsed < 6*time.Millisecond {
-		t.Fatalf("slow reader too fast: %v", elapsed)
 	}
 }
 

@@ -1,10 +1,11 @@
-package forensics
+package forensics_test
 
 import (
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	. "repro/internal/forensics"
 	"repro/internal/snoop"
 )
 

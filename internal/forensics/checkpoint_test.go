@@ -1,10 +1,11 @@
-package forensics
+package forensics_test
 
 import (
 	"bytes"
 	"reflect"
 	"testing"
 
+	. "repro/internal/forensics"
 	"repro/internal/snoop"
 )
 

@@ -1,4 +1,4 @@
-package forensics
+package forensics_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	. "repro/internal/forensics"
 	"repro/internal/snoop"
 )
 
@@ -98,8 +99,7 @@ func TestPushKeptMatchesPush(t *testing.T) {
 		for i, rec := range recs {
 			ref.Push(rec)
 			wantEvents = append(wantEvents, ref.Drain()...)
-			var m hciMsg
-			if m.decode(rec.Data) {
+			if Decodes(rec.Data) {
 				lastRelevant = i + 1
 			}
 		}

@@ -11,7 +11,7 @@
 //   - suspicious timeout disconnects during authentication (the trace a
 //     link key extraction attack leaves on the *accessory*).
 //
-// Every entry point shares one single-pass session reducer. Analyze
+// The four entry points share one single-pass session reducer. Analyze
 // walks records already in memory, one Push at a time — the reference.
 // AnalyzeBatch and AnalyzeBytes digest a btsnoop stream or byte slice of
 // any size through the block scanner and its in-sweep prefilter.
@@ -19,6 +19,10 @@
 // records as they arrive, drain findings as soon as the reducer
 // produces them — and is what the blapd live-ingestion daemon and
 // hcidump's tail mode run against a capture that is still growing.
+//
+// Report.Exposures is the repository's one reader of plaintext keys in
+// a btsnoop capture: the paper's extraction step (core's snoop channel,
+// hcidump -keys, the Fig. 3 and Fig. 11 cross-checks) reads it.
 //
 // A Detector keeps the batch Report as it goes, so its memory grows with
 // the capture. NewLiveDetector is the mode for a consumer that reads

@@ -1,12 +1,16 @@
-package forensics
+package forensics_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bt"
 	"repro/internal/core"
 	"repro/internal/device"
+	. "repro/internal/forensics"
+	"repro/internal/hci"
 	"repro/internal/snoop"
 )
 
@@ -122,4 +126,40 @@ func TestAnalyzeTolerantOfTruncatedRecords(t *testing.T) {
 	}
 	Analyze(records) // must not panic
 	_ = snoop.Record{}
+}
+
+// TestExposuresFindBothCarriers: a key is exposed by the host's
+// HCI_Link_Key_Request_Reply and by the controller's
+// HCI_Link_Key_Notification, and the report names each carrier.
+func TestExposuresFindBothCarriers(t *testing.T) {
+	key := bt.MustLinkKey("c4f16e949f04ee9c0fd6b1330289c324")
+	addr := bt.MustBDADDR("00:1a:7d:da:71:0a")
+	d := snoop.NewHCIDump()
+	d.Observe(0, hci.DirHostToController, hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: addr, Key: key}).Wire())
+	d.Observe(0, hci.DirControllerToHost, hci.EncodeEvent(&hci.LinkKeyNotification{Addr: addr, Key: key}).Wire())
+	hits := Analyze(d.Records()).Exposures
+	if len(hits) != 2 {
+		t.Fatalf("want 2 hits, got %d", len(hits))
+	}
+	for _, h := range hits {
+		if h.Key != key || h.Peer != addr {
+			t.Errorf("bad hit: %+v", h)
+		}
+	}
+	if hits[0].Source == hits[1].Source {
+		t.Error("hits should name distinct carriers")
+	}
+}
+
+// TestSynthesizedKeysAreExposures: every plaintext key the synthesizer
+// writes is one exposure.
+func TestSynthesizedKeysAreExposures(t *testing.T) {
+	data, stats := synthCapture(t, 5000, 42)
+	rep, err := AnalyzeBatch(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Exposures) != stats.KeyExposures {
+		t.Fatalf("AnalyzeBatch found %d keys, stats say %d", len(rep.Exposures), stats.KeyExposures)
+	}
 }

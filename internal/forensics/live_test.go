@@ -1,4 +1,4 @@
-package forensics
+package forensics_test
 
 import (
 	"bytes"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bt"
+	. "repro/internal/forensics"
 	"repro/internal/hci"
 	"repro/internal/snoop"
 )
@@ -78,22 +79,6 @@ func liveInputs(t *testing.T) map[string][]keptBatch {
 	return in
 }
 
-// distinctLive counts the sessions a future record can still reach.
-func distinctLive(st *sessionState) int {
-	set := make(map[*Session]bool)
-	for _, slot := range st.handles {
-		if slot.session != nil {
-			set[slot.session] = true
-		}
-	}
-	for _, p := range st.peers {
-		if p.session != nil {
-			set[p.session] = true
-		}
-	}
-	return len(set)
-}
-
 // TestLiveDetectorMatchesFull runs a live and a full detector side by
 // side. At every batch boundary their drained events and their live
 // snapshots must be identical, and the live session list must respect
@@ -123,7 +108,7 @@ func TestLiveDetectorMatchesFull(t *testing.T) {
 				if !bytes.Equal(fs, ls) {
 					t.Fatalf("batch %d: live snapshots diverge (%d vs %d bytes)", i, len(fs), len(ls))
 				}
-				if n, bound := len(live.Finish().Sessions), 2*distinctLive(live.st)+64; n > bound {
+				if n, bound := len(live.Finish().Sessions), 2*DistinctLive(live)+64; n > bound {
 					t.Fatalf("batch %d: live report holds %d sessions, bound %d", i, n, bound)
 				}
 				events = append(events, got)
@@ -154,7 +139,7 @@ func TestLiveDetectorMatchesFull(t *testing.T) {
 					}
 				}
 				// The restored detector stayed live.
-				if rep := d.Finish(); len(rep.Findings) != 0 || len(rep.Sessions) > 2*distinctLive(d.st)+64 {
+				if rep := d.Finish(); len(rep.Findings) != 0 || len(rep.Sessions) > 2*DistinctLive(d)+64 {
 					t.Fatalf("cut %d: restored detector kept %d findings and %d sessions", cut, len(rep.Findings), len(rep.Sessions))
 				}
 			}
@@ -197,7 +182,7 @@ func TestLiveDetectorStateIsBounded(t *testing.T) {
 	if len(rep.Exposures) != 0 || len(rep.Findings) != 0 {
 		t.Fatalf("live report kept %d exposures and %d findings", len(rep.Exposures), len(rep.Findings))
 	}
-	if n, bound := len(rep.Sessions), 2*distinctLive(d.st)+64; n > bound {
+	if n, bound := len(rep.Sessions), 2*DistinctLive(d)+64; n > bound {
 		t.Fatalf("live report holds %d sessions, bound %d", n, bound)
 	}
 }
@@ -366,7 +351,7 @@ func reduceLive(batches []keptBatch) *Detector {
 // allocations per kept record; a *Session per connection or a fresh
 // AuthOutcomes slice per session would each break the bound on its own.
 func TestPushKeptAllocs(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("the race detector distorts allocation counts")
 	}
 	batches, kept := denseKept(t, 200_000, 1)

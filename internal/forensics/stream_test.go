@@ -1,4 +1,4 @@
-package forensics
+package forensics_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/bt"
 	"repro/internal/core"
 	"repro/internal/device"
+	. "repro/internal/forensics"
 	"repro/internal/hci"
 	"repro/internal/snoop"
 )
@@ -185,7 +186,7 @@ func TestHandleReuseWithoutDisconnect(t *testing.T) {
 // whole stream: total allocation during a pass over a large capture
 // must stay well below the capture size.
 func TestAnalyzeStreamBoundedMemory(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("allocation accounting is distorted by the race detector")
 	}
 	var buf bytes.Buffer

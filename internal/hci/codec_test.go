@@ -219,9 +219,6 @@ func TestOpcodeOGFOCF(t *testing.T) {
 	if OpReset.OGF() != 0x03 {
 		t.Errorf("Reset OGF = %x", OpReset.OGF())
 	}
-	if OpcodeOf(0x01, 0x005) != OpCreateConnection {
-		t.Error("OpcodeOf mismatch")
-	}
 }
 
 func TestStatusErr(t *testing.T) {

@@ -10,9 +10,6 @@ import "fmt"
 // Opcode is an HCI command opcode: OGF (6 bits) << 10 | OCF (10 bits).
 type Opcode uint16
 
-// OpcodeOf assembles an opcode from its group and command fields.
-func OpcodeOf(ogf, ocf uint16) Opcode { return Opcode(ogf<<10 | ocf&0x3FF) }
-
 // OGF returns the opcode group field.
 func (o Opcode) OGF() uint16 { return uint16(o) >> 10 }
 

@@ -14,7 +14,7 @@ import (
 // reads as stalled — only a unit of work that does not finish does.
 //
 // A nil *Beat is a no-op on every method, matching the package's
-// nil-safe Counter convention.
+// nil-receiver convention (a nil *Histogram is a no-op sink too).
 type Beat struct {
 	busy atomic.Bool
 	at   atomic.Int64 // unix nanos of the last Start

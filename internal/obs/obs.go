@@ -1,6 +1,6 @@
 // Package obs is the repository's allocation-conscious observability
-// core: lock-free counters, bounded log2-bucketed latency histograms
-// with quantile snapshots, and span-style stage timers. The live daemon
+// core: bounded log2-bucketed latency histograms with quantile
+// snapshots, and a heartbeat for watchdogging work loops. The live daemon
 // (internal/sentinel), the campaign engine's progress hook
 // (internal/campaign), and the CLI stats modes (hcidump -stats) are all
 // built on it.
@@ -32,31 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a lock-free monotonic counter. The zero value is ready to
-// use; a nil *Counter is a no-op sink.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n. No-op on a nil receiver.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Inc increments the counter by one. No-op on a nil receiver.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Load returns the current count; zero on a nil receiver.
-func (c *Counter) Load() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // histBuckets is the fixed bucket count: bucket i holds observations
 // whose nanosecond duration has bit length i, i.e. d in [2^(i-1), 2^i).
@@ -117,15 +92,6 @@ func (h *Histogram) ObserveN(d time.Duration, n uint64) {
 	h.buckets[bits.Len64(uint64(ns))&(histBuckets-1)].Add(n)
 	h.count.Add(n)
 	h.sum.Add(ns * int64(n))
-}
-
-// Since records the time elapsed since t0. No-op on a nil receiver or a
-// zero t0 (the "not sampled" sentinel).
-func (h *Histogram) Since(t0 time.Time) {
-	if h == nil || t0.IsZero() {
-		return
-	}
-	h.Observe(time.Since(t0))
 }
 
 // Snapshot is a point-in-time summary of a Histogram, shaped for JSON
@@ -249,29 +215,4 @@ func (s Snapshot) String() string {
 
 func usToString(us float64) string {
 	return time.Duration(us * 1e3).Round(time.Microsecond).String()
-}
-
-// Span is a span-style stage timer: Begin captures the clock, End
-// observes the elapsed time into the histogram. A Span started against
-// a nil histogram holds no clock reading and End is free — the
-// zero-cost-when-disabled contract extended to paired call sites.
-type Span struct {
-	h  *Histogram
-	t0 time.Time
-}
-
-// Begin starts a span against h. When h is nil the returned span is
-// inert (no clock read happens at either end).
-func Begin(h *Histogram) Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, t0: time.Now()}
-}
-
-// End stops the span and records the elapsed time.
-func (s Span) End() {
-	if s.h != nil {
-		s.h.Observe(time.Since(s.t0))
-	}
 }

@@ -12,29 +12,14 @@ import (
 // receiver, because call sites compile instrumentation in
 // unconditionally and rely on nil to turn it off.
 func TestNilInstrumentsAreNoOps(t *testing.T) {
-	var c *Counter
-	c.Add(5)
-	c.Inc()
-	if c.Load() != 0 {
-		t.Fatal("nil counter loaded nonzero")
-	}
-
 	var h *Histogram
 	h.Observe(time.Millisecond)
-	h.Since(time.Now())
 	if s := h.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil histogram snapshot not zero: %+v", s)
 	}
 
-	sp := Begin(nil)
-	if !sp.t0.IsZero() {
-		t.Fatal("span against nil histogram read the clock")
-	}
-	sp.End()
-
 	if allocs := testing.AllocsPerRun(100, func() {
 		h.Observe(time.Second)
-		Begin(nil).End()
 	}); allocs != 0 {
 		t.Fatalf("nil instruments allocated %.1f per op", allocs)
 	}
@@ -102,7 +87,6 @@ func TestHistogramNegativeAndZero(t *testing.T) {
 // the atomic counters must agree afterwards, and -race must stay quiet.
 func TestHistogramConcurrent(t *testing.T) {
 	h := &Histogram{}
-	c := &Counter{}
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -111,15 +95,14 @@ func TestHistogramConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				h.Observe(time.Duration(w*per+i) * time.Microsecond)
-				c.Inc()
 				_ = h.Snapshot() // concurrent reads must be safe too
 			}
 		}(w)
 	}
 	wg.Wait()
 	s := h.Snapshot()
-	if s.Count != workers*per || c.Load() != workers*per {
-		t.Fatalf("lost observations: hist=%d counter=%d want %d", s.Count, c.Load(), workers*per)
+	if s.Count != workers*per {
+		t.Fatalf("lost observations: hist=%d want %d", s.Count, workers*per)
 	}
 	if s.MinUS != 0 {
 		t.Fatalf("min = %v µs, want 0", s.MinUS)
@@ -181,32 +164,6 @@ func TestSnapshotJSONShape(t *testing.T) {
 		if _, ok := m[k]; !ok {
 			t.Fatalf("snapshot JSON missing %q: %s", k, raw)
 		}
-	}
-}
-
-// TestSpan checks the paired timer records into its histogram.
-func TestSpan(t *testing.T) {
-	h := &Histogram{}
-	sp := Begin(h)
-	time.Sleep(time.Millisecond)
-	sp.End()
-	s := h.Snapshot()
-	if s.Count != 1 || s.MaxUS < 500 {
-		t.Fatalf("span recorded %+v, want one observation >= ~1ms", s)
-	}
-}
-
-// TestSince covers the sampled-timestamp helper: zero time is the "not
-// sampled" sentinel and records nothing.
-func TestSince(t *testing.T) {
-	h := &Histogram{}
-	h.Since(time.Time{})
-	if h.Snapshot().Count != 0 {
-		t.Fatal("zero t0 recorded an observation")
-	}
-	h.Since(time.Now().Add(-time.Millisecond))
-	if s := h.Snapshot(); s.Count != 1 || s.MaxUS < 500 {
-		t.Fatalf("Since recorded %+v", s)
 	}
 }
 

@@ -202,7 +202,8 @@ func extractFindings(jsonl []byte, stream uint64) []string {
 			continue
 		}
 		ev.Stream = 0
-		res = append(res, string(ev.appendJSON(nil)))
+		line, _ := json.Marshal(ev)
+		res = append(res, string(line))
 	}
 	return res
 }

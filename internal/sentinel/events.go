@@ -157,7 +157,7 @@ func appendStamp(b []byte, ts int64) []byte {
 }
 
 // appendFinding appends the JSON object of one finding of the given
-// stream to b: the bytes appendJSON produces for the finding Event with
+// stream to b: the bytes json.Marshal produces for the finding Event with
 // Type, Stream, TS, Seq, Frame, Kind, Peer, Detail and CaptureTS set —
 // the same field order, omitempty rules and escaping — without building
 // that Event or its peer, detail and capture-time strings. The detail
@@ -198,90 +198,6 @@ func appendFinding(b []byte, stream uint64, ts []byte, ev *forensics.Event) []by
 	b = append(b, `,"capture_ts":"`...)
 	b = ev.Time.UTC().AppendFormat(b, time.RFC3339Nano)
 	return append(b, `"}`...)
-}
-
-// appendJSON appends the event's JSON object to b and returns the
-// extended slice. The output is byte-identical to encoding/json's
-// rendering of the same value — field order, omitempty behavior, and
-// string escaping included — so shard writers can encode findings into
-// a reused buffer without the per-event allocations of json.Marshal
-// while every consumer of the JSONL stream sees the format PR 3
-// shipped. TestAppendJSONMatchesEncodingJSON pins the identity for
-// every event type; keep this encoder and the Event struct in lockstep.
-func (ev *Event) appendJSON(b []byte) []byte {
-	b = append(b, `{"type":`...)
-	b = appendJSONString(b, ev.Type)
-	b = append(b, `,"stream":`...)
-	b = strconv.AppendUint(b, ev.Stream, 10)
-	if ev.Proto != "" {
-		b = append(b, `,"proto":`...)
-		b = appendJSONString(b, ev.Proto)
-	}
-	if ev.Label != "" {
-		b = append(b, `,"label":`...)
-		b = appendJSONString(b, ev.Label)
-	}
-	if ev.Session != "" {
-		b = append(b, `,"session":`...)
-		b = appendJSONString(b, ev.Session)
-	}
-	if ev.TS != "" {
-		b = append(b, `,"ts":`...)
-		b = appendJSONString(b, ev.TS)
-	}
-	if ev.Seq != 0 {
-		b = append(b, `,"seq":`...)
-		b = strconv.AppendUint(b, ev.Seq, 10)
-	}
-	if ev.Frame != 0 {
-		b = append(b, `,"frame":`...)
-		b = strconv.AppendInt(b, int64(ev.Frame), 10)
-	}
-	if ev.Kind != "" {
-		b = append(b, `,"kind":`...)
-		b = appendJSONString(b, ev.Kind)
-	}
-	if ev.Peer != "" {
-		b = append(b, `,"peer":`...)
-		b = appendJSONString(b, ev.Peer)
-	}
-	if ev.Detail != "" {
-		b = append(b, `,"detail":`...)
-		b = appendJSONString(b, ev.Detail)
-	}
-	if ev.CaptureTS != "" {
-		b = append(b, `,"capture_ts":`...)
-		b = appendJSONString(b, ev.CaptureTS)
-	}
-	if ev.Status != "" {
-		b = append(b, `,"status":`...)
-		b = appendJSONString(b, ev.Status)
-	}
-	if ev.Offset != 0 {
-		b = append(b, `,"offset":`...)
-		b = strconv.AppendInt(b, ev.Offset, 10)
-	}
-	if ev.Records != 0 {
-		b = append(b, `,"records":`...)
-		b = strconv.AppendInt(b, int64(ev.Records), 10)
-	}
-	if ev.Bytes != 0 {
-		b = append(b, `,"bytes":`...)
-		b = strconv.AppendInt(b, ev.Bytes, 10)
-	}
-	if ev.Findings != 0 {
-		b = append(b, `,"findings":`...)
-		b = strconv.AppendUint(b, ev.Findings, 10)
-	}
-	if ev.EventsDropped != 0 {
-		b = append(b, `,"events_dropped":`...)
-		b = strconv.AppendUint(b, ev.EventsDropped, 10)
-	}
-	if ev.Error != "" {
-		b = append(b, `,"error":`...)
-		b = appendJSONString(b, ev.Error)
-	}
-	return append(b, '}')
 }
 
 const jsonHex = "0123456789abcdef"

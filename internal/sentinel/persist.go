@@ -201,8 +201,8 @@ func (sh *shard) persistLoop() {
 		case it.burst.evs != nil:
 			buf = sh.persistBurst(buf[:0], &it.burst)
 		default:
-			buf = it.ev.appendJSON(buf[:0])
-			if err := sh.srv.cfg.Store.Append(SeriesEnds, it.ts, it.ev.Stream, buf); err != nil {
+			line, _ := json.Marshal(&it.ev)
+			if err := sh.srv.cfg.Store.Append(SeriesEnds, it.ts, it.ev.Stream, line); err != nil {
 				sh.m.persistDropped.Add(1)
 			} else {
 				sh.m.persistAppended.Add(1)

@@ -53,6 +53,7 @@ package sentinel
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -100,8 +101,7 @@ type Config struct {
 	// WriteTimeout is the per-write deadline on the JSONL event path:
 	// when a shard's event queue is full and stays full this long, the
 	// event is dropped (and counted) rather than blocking ingestion on a
-	// wedged consumer. Default 5s; <0 blocks forever (the pre-deadline
-	// backpressure behavior).
+	// wedged consumer. Default 5s.
 	WriteTimeout time.Duration
 	// EventBuffer bounds how many finding events each shard's queue
 	// between ingestion and that shard's writer goroutine can hold.
@@ -473,8 +473,8 @@ func (sh *shard) writeLoop() {
 			case it.burst.evs != nil:
 				sh.writeBurst(&it.burst)
 			default:
-				sh.buf = it.ev.appendJSON(sh.buf)
-				sh.buf = append(sh.buf, '\n')
+				line, _ := json.Marshal(&it.ev) // strings and integers only: never fails
+				sh.buf = append(append(sh.buf, line...), '\n')
 				sh.m.events.Add(1)
 				if len(sh.buf) >= shardFlushBytes {
 					sh.flushBuf()
@@ -539,10 +539,6 @@ func (sh *shard) enqueue(it shardItem) (ok bool) {
 	case sh.events <- it:
 		return true
 	default:
-	}
-	if sh.srv.cfg.WriteTimeout < 0 { // unbounded: classic backpressure
-		sh.events <- it
-		return true
 	}
 	t := time.NewTimer(sh.srv.cfg.WriteTimeout)
 	defer t.Stop()
@@ -1276,10 +1272,6 @@ func (s *Server) flushEvents(sh *shard) bool {
 	done := make(chan struct{})
 	if !sh.enqueue(shardItem{flush: done}) {
 		return false
-	}
-	if s.cfg.WriteTimeout < 0 {
-		<-done
-		return true
 	}
 	t := time.NewTimer(s.cfg.WriteTimeout)
 	defer t.Stop()

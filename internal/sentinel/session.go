@@ -587,7 +587,7 @@ func (r *sessionReader) maybeAck() {
 // a short deadline. Best effort: the ingest path never waits on a
 // client that stopped reading.
 func writeConnEvent(conn net.Conn, ev Event) error {
-	buf := ev.appendJSON(make([]byte, 0, 192))
+	buf, _ := json.Marshal(ev)
 	buf = append(buf, '\n')
 	_ = conn.SetWriteDeadline(time.Now().Add(connWriteDeadline))
 	_, err := conn.Write(buf)

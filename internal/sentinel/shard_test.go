@@ -4,156 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
-	"unicode/utf8"
 )
-
-// encoderFixtures is every Event type with its fields populated the way
-// the daemon populates them, plus adversarial string content: JSON
-// metacharacters, control bytes (including \b and \f, which
-// encoding/json renders with short escapes), HTML-escaped <>&, invalid
-// UTF-8 (rendered as an escaped replacement char), the JS line
-// separators U+2028/U+2029, multi-byte runes, and negative numbers.
-var encoderFixtures = []Event{
-	{Type: EventStreamStart, Stream: 1, Proto: "tcp", Label: "127.0.0.1:52113"},
-	{Type: EventStreamStart, Stream: 18446744073709551615, Proto: "unix", Label: "unix",
-		TS: "2026-08-08T12:00:00.000000001Z"},
-	{
-		Type: EventFinding, Stream: 7, Seq: 3, Frame: 4521,
-		Kind: "link-key-extraction", Peer: "AA:BB:CC:DD:EE:FF",
-		Detail:    "HCI_Read_Stored_Link_Key burst",
-		CaptureTS: "2026-08-08T12:00:00.123456789Z",
-		TS:        "2026-08-08T12:00:00.223456789Z",
-	},
-	{
-		Type: EventStreamEnd, Stream: 7, Proto: "tcp", Label: "phone",
-		Session: "phone-7",
-		TS:      "2026-08-08T12:00:01Z",
-		Status:  StatusClean, Offset: 52095345, Records: 1000000,
-		Bytes: 52095345, Findings: 41, EventsDropped: 2,
-	},
-	{
-		Type: EventStreamEnd, Stream: 9, Status: StatusBadFraming,
-		Offset: -1, Records: -1, Bytes: -9, // negative ints through AppendInt
-		Error: "snoop: bad framing at offset 16",
-	},
-	{Type: EventStreamRejected, Stream: 65, Proto: "tcp", Label: "10.0.0.9:1", Error: "stream cap 64 reached"},
-	{Type: EventSessionParked, Stream: 12, Session: "weird \"session\" \xffid", Offset: 4096},
-	{Type: EventSessionResumed, Stream: 12, Session: "phone-12", Label: "127.0.0.1:9", Offset: 4096},
-	{Type: EventSessionExpired, Stream: 12, Session: "phone-12", Offset: 4096},
-	{Type: EventCheckpoint, Stream: 12, Session: "phone-12", Offset: 8 << 20, Frame: 150000},
-	{Type: EventStreamEnd, Stream: 13, Session: "s", Status: StatusPanic,
-		Offset: 77, Error: "panic: index out of range"},
-	{Type: EventStreamEnd, Stream: 14, Session: "s2", Status: StatusAborted, Offset: 99},
-	{Type: EventFinding, Stream: 2, Seq: 1, Frame: 1, Kind: "quote\"back\\slash", Detail: "tabs\tand\nnewlines\rhere",
-		TS: "ts with \"quotes\" and \xffbad bytes"},
-	{Type: EventFinding, Stream: 2, Seq: 2, Frame: 2, Kind: "ctrl\b\f\x00\x1f", Detail: "html <b>&amp;</b>"},
-	{Type: EventFinding, Stream: 2, Seq: 3, Frame: 3, Kind: "bad\xffutf8\xc3(", Detail: "seps\u2028and\u2029here"},
-	{Type: EventFinding, Stream: 2, Seq: 4, Frame: 4, Kind: "日本語 ünïcode ✓", Detail: "� literal replacement"},
-	{Type: EventStreamEnd, Stream: 3}, // everything omitempty at once
-}
-
-// TestAppendJSONMatchesEncodingJSON pins the append-style encoder's
-// contract: for every Event the daemon can emit — every type, every
-// field, every escaping edge case — appendJSON must produce the exact
-// bytes json.Marshal produces, and those bytes must round-trip back to
-// the same Event. The shard writers rely on this identity to replace
-// per-event json.Marshal without changing one byte of the JSONL stream.
-func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
-	check := func(ev Event) {
-		t.Helper()
-		want, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatalf("json.Marshal(%+v): %v", ev, err)
-		}
-		got := ev.appendJSON(nil)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("appendJSON diverges from encoding/json:\nevent: %+v\n got: %s\nwant: %s", ev, got, want)
-		}
-		// Reused-buffer discipline: appending after existing content must
-		// not disturb it (the shard writer encodes into a shared buffer).
-		buf := append([]byte("prefix|"), ev.appendJSON(nil)...)
-		if !bytes.HasPrefix(buf, []byte("prefix|")) || !bytes.HasSuffix(buf, want) {
-			t.Fatalf("appendJSON corrupted the shared buffer: %s", buf)
-		}
-		var back Event
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatalf("round-trip unmarshal of %s: %v", got, err)
-		}
-		// Invalid UTF-8 is replaced during encoding (one U+FFFD per bad
-		// byte, exactly as encoding/json does), so the round-trip target
-		// is the sanitized event, not the raw one.
-		if wantBack := sanitizeEvent(ev); back != wantBack {
-			t.Fatalf("round-trip changed the event:\n got:  %+v\n want: %+v", back, wantBack)
-		}
-	}
-	for _, ev := range encoderFixtures {
-		check(ev)
-	}
-
-	// Randomized sweep over nasty strings and extreme numbers.
-	rng := rand.New(rand.NewSource(7))
-	alphabet := []string{
-		"a", "Z", "0", " ", `"`, `\`, "<", ">", "&", "\n", "\r", "\t", "\b", "\f",
-		"\x00", "\x1f", "\x7f", "\xff", "\xc3", "\xc3\xa9", "\u2028", "\u2029",
-		"語", "✓", "�",
-	}
-	randStr := func() string {
-		var b []byte
-		for n := rng.Intn(20); n > 0; n-- {
-			b = append(b, alphabet[rng.Intn(len(alphabet))]...)
-		}
-		return string(b)
-	}
-	for i := 0; i < 2000; i++ {
-		check(Event{
-			Type:   randStr(),
-			Stream: rng.Uint64(),
-			Proto:  randStr(), Label: randStr(), Session: randStr(), TS: randStr(),
-			Seq: rng.Uint64() >> uint(rng.Intn(64)), Frame: int(int32(rng.Uint32())),
-			Kind: randStr(), Peer: randStr(), Detail: randStr(), CaptureTS: randStr(),
-			Status: randStr(), Offset: int64(rng.Uint64()), Records: int(int32(rng.Uint32())),
-			Bytes: int64(rng.Uint64()), Findings: rng.Uint64(), EventsDropped: rng.Uint64(),
-			Error: randStr(),
-		})
-	}
-}
-
-// sanitizeEvent maps every string field the way JSON encoding does:
-// each invalid UTF-8 byte becomes one U+FFFD replacement character.
-func sanitizeEvent(ev Event) Event {
-	fix := func(s string) string {
-		if utf8.ValidString(s) {
-			return s
-		}
-		var b []byte
-		for i := 0; i < len(s); {
-			r, size := utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				b = append(b, "�"...)
-			} else {
-				b = append(b, s[i:i+size]...)
-			}
-			i += size
-		}
-		return string(b)
-	}
-	ev.Type = fix(ev.Type)
-	ev.Proto = fix(ev.Proto)
-	ev.Label = fix(ev.Label)
-	ev.Session = fix(ev.Session)
-	ev.TS = fix(ev.TS)
-	ev.Kind = fix(ev.Kind)
-	ev.Peer = fix(ev.Peer)
-	ev.Detail = fix(ev.Detail)
-	ev.CaptureTS = fix(ev.CaptureTS)
-	ev.Status = fix(ev.Status)
-	ev.Error = fix(ev.Error)
-	return ev
-}
 
 // TestShardPinningStableAndSpread pins shardFor: the same stream id
 // always lands on the same shard (pinning is what preserves per-stream

@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzReadAll throws arbitrary bytes at the btsnoop reader: no panics, no
-// unbounded allocations, and anything accepted must re-serialize.
+// unbounded allocations, and anything accepted must re-serialize and
+// render as a trace table.
 func FuzzReadAll(f *testing.F) {
 	var seed bytes.Buffer
 	w := NewWriter(&seed)
@@ -30,6 +31,7 @@ func FuzzReadAll(f *testing.F) {
 				t.Fatalf("re-serialize: %v", err)
 			}
 		}
+		Summarize(recs)
 	})
 }
 
@@ -235,14 +237,4 @@ func xorshift(x *uint64) uint64 {
 	*x ^= *x >> 7
 	*x ^= *x << 17
 	return *x
-}
-
-// FuzzExtractLinkKeys must tolerate arbitrary record contents.
-func FuzzExtractLinkKeys(f *testing.F) {
-	f.Add([]byte{0x01, 0x0b, 0x04, 0x16}, uint32(0))
-	f.Fuzz(func(t *testing.T, data []byte, flags uint32) {
-		recs := []Record{{Data: data, Flags: flags, OriginalLength: uint32(len(data))}}
-		ExtractLinkKeys(recs)
-		Summarize(recs)
-	})
 }

@@ -2,10 +2,8 @@ package snoop
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
-	"repro/internal/bt"
 	"repro/internal/hci"
 )
 
@@ -134,102 +132,6 @@ func CommandEventNames(rows []FrameSummary) []string {
 			out = append(out, r.Command)
 		} else {
 			out = append(out, r.Event)
-		}
-	}
-	return out
-}
-
-// LinkKeyHit is one plaintext link key located in a capture.
-type LinkKeyHit struct {
-	Frame int // 1-based frame number
-	// Source describes the carrying packet: "HCI_Link_Key_Request_Reply"
-	// or "HCI_Link_Key_Notification".
-	Source string
-	Peer   bt.BDADDR
-	Key    bt.LinkKey
-}
-
-// ExtractLinkKeys scans a capture for packets that carry link keys and
-// returns every key found — the core of the paper's link key extraction
-// attack when the HCI dump is the source.
-func ExtractLinkKeys(records []Record) []LinkKeyHit {
-	var hits []LinkKeyHit
-	for i, rec := range records {
-		if hit, ok := linkKeyFromRecord(i+1, rec); ok {
-			hits = append(hits, hit)
-		}
-	}
-	return hits
-}
-
-// ScanLinkKeys is ExtractLinkKeys over a btsnoop stream: the capture is
-// scanned block by block with a reused buffer, so multi-gigabyte dumps
-// are searched in constant memory.
-func ScanLinkKeys(r io.Reader) ([]LinkKeyHit, error) {
-	sc := NewBatchScanner(r)
-	var (
-		b    RecordBatch
-		hits []LinkKeyHit
-	)
-	for sc.ScanBatch(&b) {
-		for i, rec := range b.Records {
-			if hit, ok := linkKeyFromRecord(b.First+i, rec); ok {
-				hits = append(hits, hit)
-			}
-		}
-	}
-	return hits, sc.Err()
-}
-
-// linkKeyFromRecord extracts a link key from one record, if it carries
-// one. The opcode/event peek keeps the hot path allocation-free: only
-// the two key-bearing packet kinds are ever fully parsed.
-func linkKeyFromRecord(frame int, rec Record) (LinkKeyHit, bool) {
-	raw := rec.Data
-	interesting := false
-	if op, ok := hci.PeekCommandOpcode(raw); ok {
-		interesting = op == hci.OpLinkKeyRequestReply
-	} else if code, ok := hci.PeekEventCode(raw); ok {
-		interesting = code == hci.EvLinkKeyNotification
-	}
-	if !interesting {
-		return LinkKeyHit{}, false
-	}
-	dir := hci.DirHostToController
-	if rec.Received() {
-		dir = hci.DirControllerToHost
-	}
-	pkt, err := hci.ParseWireBorrow(dir, raw)
-	if err != nil {
-		return LinkKeyHit{}, false
-	}
-	switch pkt.PT {
-	case hci.PTCommand:
-		cmd, err := hci.ParseCommand(pkt)
-		if err != nil {
-			return LinkKeyHit{}, false
-		}
-		if c, ok := cmd.(*hci.LinkKeyRequestReply); ok {
-			return LinkKeyHit{Frame: frame, Source: hci.OpLinkKeyRequestReply.String(), Peer: c.Addr, Key: c.Key}, true
-		}
-	case hci.PTEvent:
-		evt, err := hci.ParseEvent(pkt)
-		if err != nil {
-			return LinkKeyHit{}, false
-		}
-		if e, ok := evt.(*hci.LinkKeyNotification); ok {
-			return LinkKeyHit{Frame: frame, Source: hci.EvLinkKeyNotification.String(), Peer: e.Addr, Key: e.Key}, true
-		}
-	}
-	return LinkKeyHit{}, false
-}
-
-// KeysFor filters hits to those whose peer address matches addr.
-func KeysFor(hits []LinkKeyHit, addr bt.BDADDR) []LinkKeyHit {
-	var out []LinkKeyHit
-	for _, h := range hits {
-		if h.Peer == addr {
-			out = append(out, h)
 		}
 	}
 	return out

@@ -221,64 +221,6 @@ func TestHCIDumpTap(t *testing.T) {
 	}
 }
 
-func TestLinkKeyFilterTruncatesOnlyKeyPackets(t *testing.T) {
-	key := bt.MustLinkKey("71a70981f30d6af9e20adee8aafe3264")
-	addr := bt.MustBDADDR("48:90:51:1e:7f:2c")
-	d := NewHCIDump()
-	d.Filter = LinkKeyFilter
-
-	reply := hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: addr, Key: key}).Wire()
-	notif := hci.EncodeEvent(&hci.LinkKeyNotification{Addr: addr, Key: key, KeyType: bt.KeyTypeUnauthenticatedP256}).Wire()
-	other := hci.EncodeCommand(&hci.AuthenticationRequested{Handle: 3}).Wire()
-
-	d.Observe(0, hci.DirHostToController, reply)
-	d.Observe(0, hci.DirControllerToHost, notif)
-	d.Observe(0, hci.DirHostToController, other)
-
-	recs := d.Records()
-	if len(recs[0].Data) != 4 {
-		t.Errorf("filtered reply kept %d bytes", len(recs[0].Data))
-	}
-	if !recs[0].Truncated() {
-		t.Error("reply record should report truncation")
-	}
-	if len(recs[1].Data) != 3 {
-		t.Errorf("filtered notification kept %d bytes", len(recs[1].Data))
-	}
-	if recs[2].Truncated() {
-		t.Error("unrelated packet must pass unfiltered")
-	}
-	if hits := ExtractLinkKeys(recs); len(hits) != 0 {
-		t.Fatalf("filter leaked %d keys", len(hits))
-	}
-}
-
-func TestExtractLinkKeysFindsBothCarriers(t *testing.T) {
-	key := bt.MustLinkKey("c4f16e949f04ee9c0fd6b1330289c324")
-	addr := bt.MustBDADDR("00:1a:7d:da:71:0a")
-	d := NewHCIDump()
-	d.Observe(0, hci.DirHostToController, hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: addr, Key: key}).Wire())
-	d.Observe(0, hci.DirControllerToHost, hci.EncodeEvent(&hci.LinkKeyNotification{Addr: addr, Key: key}).Wire())
-	hits := ExtractLinkKeys(d.Records())
-	if len(hits) != 2 {
-		t.Fatalf("want 2 hits, got %d", len(hits))
-	}
-	for _, h := range hits {
-		if h.Key != key || h.Peer != addr {
-			t.Errorf("bad hit: %+v", h)
-		}
-	}
-	if hits[0].Source == hits[1].Source {
-		t.Error("hits should name distinct carriers")
-	}
-	if got := KeysFor(hits, addr); len(got) != 2 {
-		t.Errorf("KeysFor: %d", len(got))
-	}
-	if got := KeysFor(hits, bt.MustBDADDR("11:11:11:11:11:11")); len(got) != 0 {
-		t.Errorf("KeysFor wrong addr: %d", len(got))
-	}
-}
-
 func TestSummarizeRendersFrames(t *testing.T) {
 	d := NewHCIDump()
 	d.Observe(0, hci.DirHostToController, hci.EncodeCommand(&hci.CreateConnection{Addr: bt.MustBDADDR("00:1a:7d:da:71:0a")}).Wire())
@@ -311,42 +253,5 @@ func TestSummarizeRendersFrames(t *testing.T) {
 	names := CommandEventNames(rows)
 	if len(names) != 3 || names[0] != "HCI_Create_Connection" {
 		t.Errorf("names: %v", names)
-	}
-}
-
-func TestRandomizeLinkKeyFilterProducesDecoy(t *testing.T) {
-	key := bt.MustLinkKey("71a70981f30d6af9e20adee8aafe3264")
-	addr := bt.MustBDADDR("48:90:51:1e:7f:2c")
-	d := NewHCIDump()
-	d.Filter = RandomizeLinkKeyFilter
-
-	d.Observe(0, hci.DirHostToController, hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: addr, Key: key}).Wire())
-	d.Observe(0, hci.DirControllerToHost, hci.EncodeEvent(&hci.LinkKeyNotification{Addr: addr, Key: key}).Wire())
-	d.Observe(0, hci.DirHostToController, hci.EncodeCommand(&hci.AuthenticationRequested{Handle: 3}).Wire())
-
-	hits := ExtractLinkKeys(d.Records())
-	if len(hits) != 2 {
-		t.Fatalf("the decoy filter must keep key-shaped fields: %d hits", len(hits))
-	}
-	for _, h := range hits {
-		if h.Key == key {
-			t.Fatal("the real key leaked through the scrambler")
-		}
-		if h.Peer != addr {
-			t.Fatal("the address must survive (only the key is scrambled)")
-		}
-	}
-	// The packets remain structurally valid (lengths intact).
-	for _, rec := range d.Records() {
-		if rec.Truncated() {
-			t.Fatal("the scrambler must not truncate")
-		}
-	}
-	// Deterministic: the same input scrambles identically.
-	d2 := NewHCIDump()
-	d2.Filter = RandomizeLinkKeyFilter
-	d2.Observe(0, hci.DirHostToController, hci.EncodeCommand(&hci.LinkKeyRequestReply{Addr: addr, Key: key}).Wire())
-	if ExtractLinkKeys(d2.Records())[0].Key != hits[0].Key {
-		t.Fatal("scrambling must be deterministic")
 	}
 }

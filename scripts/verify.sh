@@ -57,10 +57,15 @@ go test -run '^$' -fuzz '^FuzzFindingRecord$' -fuzztime 5s ./internal/sentinel
 
 # Observability smoke: hcidump -stats must report throughput and
 # capture-time finding latency without disturbing the exit-3 contract,
-# and a repeated btsim campaign must run with live progress.
+# and a repeated btsim campaign must run with live progress. hcidump
+# -keys must read back the key btsim reports extracting.
 obs_dir=$(mktemp -d)
-go run ./cmd/btsim -scenario extraction -seed 7 -o "$obs_dir"
+go run ./cmd/btsim -scenario extraction -seed 7 -o "$obs_dir" > "$obs_dir/btsim.out"
 go build -o "$obs_dir/hcidump" ./cmd/hcidump
+key=$(sed -n 's/^extracted \([0-9a-f]\{32\}\) .*/\1/p' "$obs_dir/btsim.out")
+[ -n "$key" ]
+"$obs_dir/hcidump" -keys "$obs_dir/extraction_C.btsnoop" > "$obs_dir/keys.out"
+grep -q "key $key\$" "$obs_dir/keys.out"
 rc=0
 "$obs_dir/hcidump" -analyze -stats "$obs_dir/extraction_C.btsnoop" >/dev/null 2>"$obs_dir/stats.err" || rc=$?
 [ "$rc" -eq 3 ]
